@@ -29,7 +29,7 @@ check and the corpus replay assert.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..config import (AuditConfig, ClusterConfig, ObsConfig, RetryConfig,
                       ServerConfig)
@@ -40,6 +40,8 @@ from ..experiments.runner import stable_hash
 from ..faults.health import restoration_failures
 from ..faults.plan import FaultPlan
 from ..pfs.cluster import Cluster
+from ..sim.parallel import (merge_audit, merge_fault_records, merge_recovery,
+                            run_sharded_episode)
 from ..workloads import IorMpiIo, MpiIoTest, recovery_snapshot, run_workload
 
 #: Type alias for readability; an episode result is a plain dict.
@@ -100,22 +102,41 @@ def build_workload(spec: Dict):
 
 
 # ---------------------------------------------------------------- guard
+def _check_budget(budget: Dict, now: float, events: int,
+                  wall_start: float) -> None:
+    """Raise :class:`EpisodeBudgetError` once any episode cap is passed."""
+    if now > budget["sim_time"]:
+        raise EpisodeBudgetError(
+            f"episode passed {budget['sim_time']}s of simulated time "
+            f"(now {now:.3f}s) — livelock or runaway workload")
+    if events > budget["events"]:
+        raise EpisodeBudgetError(
+            f"episode scheduled more than {budget['events']} engine events")
+    if time.monotonic() - wall_start > budget["wall_clock"]:
+        raise EpisodeBudgetError(
+            f"episode exceeded the {budget['wall_clock']}s real-time "
+            "backstop")
+
+
 def _budget_guard(env, budget: Dict, wall_start: float):
-    sim_cap = budget["sim_time"]
-    event_cap = budget["events"]
-    wall_cap = budget["wall_clock"]
+    """The serial guard: a sim process checking every ``_GUARD_PERIOD``."""
     while True:
         yield env.timeout(_GUARD_PERIOD)
-        if env.now > sim_cap:
-            raise EpisodeBudgetError(
-                f"episode passed {sim_cap}s of simulated time "
-                f"(now {env.now:.3f}s) — livelock or runaway workload")
-        if env._seq > event_cap:
-            raise EpisodeBudgetError(
-                f"episode scheduled more than {event_cap} engine events")
-        if time.monotonic() - wall_start > wall_cap:
-            raise EpisodeBudgetError(
-                f"episode exceeded the {wall_cap}s real-time backstop")
+        _check_budget(budget, env.now, env._seq, wall_start)
+
+
+def _coordinator_guard(budget: Dict, wall_start: float):
+    """The sharded guard: the coordinator calls it between window
+    barriers, outside every shard's heap, with the window end and the
+    engine events all shards scheduled in it (both deterministic)."""
+    events = 0
+
+    def guard(t_end: float, window_events: int) -> None:
+        nonlocal events
+        events += window_events
+        _check_budget(budget, t_end, events, wall_start)
+
+    return guard
 
 
 def _classify(exc: BaseException) -> str:
@@ -126,6 +147,48 @@ def _classify(exc: BaseException) -> str:
     if isinstance(exc, AuditError):
         return "violation"
     return "crash"
+
+
+def _judge(spec: Dict, error: Optional[BaseException], verdict: Dict,
+           recovery: Dict, restoration: List[str],
+           makespan: float, fault_log: List[Dict],
+           **extra) -> EpisodeResult:
+    """Read the oracles into the episode result (both engines).
+
+    ``error`` is the first in-simulation failure; ``restoration`` stays
+    empty unless the settle completed and the oracle was read.
+    """
+    status = "ok" if error is None else _classify(error)
+    failures = [] if error is None else [status]
+    if not verdict["ok"]:
+        failures.append("audit:" + "+".join(verdict["checks"]))
+    elif verdict["watchdog_fired"]:
+        failures.append("watchdog")
+    if status == "ok" and recovery["exhausted_subrequests"] > 0:
+        failures.append("retry-exhausted")
+    failures.extend(restoration)
+    result: EpisodeResult = {
+        "spec": spec,
+        "status": status,
+        "ok": not failures,
+        "failures": failures,
+        "error": (None if error is None
+                  else f"{type(error).__name__}: {error}"),
+        "makespan": round(makespan, 9),
+        "recovery": recovery,
+        "verdict": verdict,
+        "fault_log": fault_log,
+        **extra,
+    }
+    result["signature"] = episode_signature(result)
+    return result
+
+
+def _fault_log(records: List[Dict], keys=()) -> List[Dict]:
+    """Fault records as signed: rounded time, phase, event + ``keys``."""
+    return [dict({"time": round(r["time"], 9), "phase": r["phase"],
+                  "event": r["event"]}, **{k: r[k] for k in keys})
+            for r in records]
 
 
 # -------------------------------------------------------------- running
@@ -141,163 +204,60 @@ def run_episode(spec: Dict) -> EpisodeResult:
     config = build_config(spec)
     workload = build_workload(spec)
     plan = FaultPlan.from_dict(spec["faults"])
-    if config.shards > 1:
-        return _run_episode_sharded(spec, config, workload, plan)
-    cluster = Cluster(config, fault_plan=plan if len(plan) else None)
-    env = cluster.env
+    fault_plan = plan if len(plan) else None
+    horizon = plan.horizon() + SETTLE_SLACK
+    warm_runs = spec["workload"]["warm_runs"]
     wall_start = time.monotonic()
+    if config.shards > 1:
+        # Same phases and oracles, merged across shards.  Fault-log
+        # entries also carry the plan ``index`` and the driving ``shard``
+        # (broadcast events log once per shard).
+        out = run_sharded_episode(
+            config, workload, fault_plan=fault_plan, settle_until=horizon,
+            warm_runs=warm_runs,
+            guard=_coordinator_guard(spec["budget"], wall_start))
+        summaries = out["summaries"]
+        return _judge(spec, out["error"], merge_audit(summaries),
+                      merge_recovery(summaries),
+                      sorted(out["restoration"]),
+                      max(s["now"] for s in summaries),
+                      _fault_log(merge_fault_records(summaries),
+                                 ("index", "shard")),
+                      shards=config.shards, windows=out["windows"])
+
+    cluster = Cluster(config, fault_plan=fault_plan)
+    env = cluster.env
     env.process(_budget_guard(env, spec["budget"], wall_start),
                 name="chaos-budget-guard")
-
-    status, error = "ok", None
+    error: Optional[ReproError] = None
     start = env.now
     try:
-        run_workload(cluster, workload, drain=True,
-                     warm_runs=spec["workload"]["warm_runs"])
+        run_workload(cluster, workload, drain=True, warm_runs=warm_runs)
     except ReproError as exc:
-        status, error = _classify(exc), f"{type(exc).__name__}: {exc}"
+        error = exc
 
     # Settle past the fault horizon so every window reverts, then drain
     # once more: recovery writeback after the last window is part of
     # the episode.  Skipped when the budget already fired — the guard
     # died raising and the run is torn anyway.
     settled = False
-    if status != "budget-exceeded":
+    if not isinstance(error, EpisodeBudgetError):
         try:
-            horizon = plan.horizon() + SETTLE_SLACK
             if env.now < horizon:
                 env.run(until=horizon)
             cluster.drain()
             settled = True
         except ReproError as exc:
-            if status == "ok":
-                status, error = _classify(exc), f"{type(exc).__name__}: {exc}"
+            error = error or exc
     makespan = env.now - start
     cluster.shutdown()
 
-    verdict = cluster.audit.verdict()
-    recovery = recovery_snapshot(cluster)
-    failures = []
-    if status != "ok":
-        failures.append(status)
-    if not verdict["ok"]:
-        failures.append("audit:" + "+".join(verdict["checks"]))
-    elif verdict["watchdog_fired"]:
-        failures.append("watchdog")
-    if status == "ok" and recovery["exhausted_subrequests"] > 0:
-        failures.append("retry-exhausted")
-    if settled:
-        failures.extend(restoration_failures(cluster))
-
-    fault_log = ([{"time": round(r.time, 9), "phase": r.phase,
-                   "event": r.event.to_dict()}
-                  for r in cluster.faults.records]
-                 if cluster.faults is not None else [])
-    result: EpisodeResult = {
-        "spec": spec,
-        "status": status,
-        "ok": not failures,
-        "failures": failures,
-        "error": error,
-        "makespan": round(makespan, 9),
-        "recovery": recovery,
-        "verdict": verdict,
-        "fault_log": fault_log,
-    }
-    result["signature"] = episode_signature(result)
-    return result
-
-
-def _coordinator_guard(budget: Dict, wall_start: float):
-    """The sharded analog of :func:`_budget_guard`.
-
-    Runs at the coordinator between window barriers — never inside a
-    shard's event heap, so it cannot perturb event order.  Sim time is
-    read from the window end, engine events from the per-window heap
-    sequence deltas summed across shards (both deterministic); the
-    wall-clock backstop stays real-time.
-    """
-    state = {"events": 0}
-    sim_cap = budget["sim_time"]
-    event_cap = budget["events"]
-    wall_cap = budget["wall_clock"]
-
-    def guard(t_end: float, events: int) -> None:
-        state["events"] += events
-        if t_end > sim_cap:
-            raise EpisodeBudgetError(
-                f"episode passed {sim_cap}s of simulated time "
-                f"(window end {t_end:.3f}s) — livelock or runaway "
-                "workload")
-        if state["events"] > event_cap:
-            raise EpisodeBudgetError(
-                f"episode scheduled more than {event_cap} engine events")
-        if time.monotonic() - wall_start > wall_cap:
-            raise EpisodeBudgetError(
-                f"episode exceeded the {wall_cap}s real-time backstop")
-
-    return guard
-
-
-def _run_episode_sharded(spec: Dict, config, workload,
-                         plan: FaultPlan) -> EpisodeResult:
-    """The episode body on the partitioned-horizon engine.
-
-    Same phases and oracles as the serial path — run, settle past the
-    horizon, drain, judge — with the coordinator merging per-shard
-    verdicts, recovery counters, restoration findings and fault logs.
-    The fault-log entries additionally carry ``index`` (plan position)
-    and ``shard`` (the injector that drove the transition); broadcast
-    events legitimately log once per shard.
-    """
-    from ..sim.parallel import (_merge_audit, merge_fault_records,
-                                merge_recovery, run_sharded_episode)
-    wall_start = time.monotonic()
-    guard = _coordinator_guard(spec["budget"], wall_start)
-    out = run_sharded_episode(
-        config, workload, fault_plan=plan if len(plan) else None,
-        settle_until=plan.horizon() + SETTLE_SLACK,
-        warm_runs=spec["workload"]["warm_runs"], guard=guard)
-    summaries = out["summaries"]
-
-    status, error = "ok", None
-    if out["error"] is not None:
-        exc = out["error"]
-        status, error = _classify(exc), f"{type(exc).__name__}: {exc}"
-
-    verdict = _merge_audit(config, summaries)
-    recovery = merge_recovery(summaries)
-    failures = []
-    if status != "ok":
-        failures.append(status)
-    if not verdict["ok"]:
-        failures.append("audit:" + "+".join(verdict["checks"]))
-    elif verdict["watchdog_fired"]:
-        failures.append("watchdog")
-    if status == "ok" and recovery["exhausted_subrequests"] > 0:
-        failures.append("retry-exhausted")
-    if out["settled"]:
-        failures.extend(sorted(out["restoration"]))
-
-    fault_log = [{"time": round(r["time"], 9), "phase": r["phase"],
-                  "event": r["event"], "index": r["index"],
-                  "shard": r["shard"]}
-                 for r in merge_fault_records(summaries)]
-    result: EpisodeResult = {
-        "spec": spec,
-        "status": status,
-        "ok": not failures,
-        "failures": failures,
-        "error": error,
-        "makespan": round(max(s["now"] for s in summaries), 9),
-        "recovery": recovery,
-        "verdict": verdict,
-        "fault_log": fault_log,
-        "shards": config.shards,
-        "windows": out["windows"],
-    }
-    result["signature"] = episode_signature(result)
-    return result
+    records = ([r.to_dict() for r in cluster.faults.records]
+               if cluster.faults is not None else [])
+    return _judge(spec, error, cluster.audit.verdict(),
+                  recovery_snapshot(cluster),
+                  restoration_failures(cluster) if settled else [],
+                  makespan, _fault_log(records))
 
 
 def episode_signature(result: EpisodeResult) -> str:

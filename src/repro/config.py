@@ -289,9 +289,6 @@ class IBridgeConfig:
     admit_reads: bool = True
     #: Use the striping-magnification sibling term of Eq. 3.
     use_sibling_term: bool = True
-    #: Write redirected data to the SSD log-structured store (paper
-    #: behaviour).  False = in-place SSD writes (ablation).
-    log_structured: bool = True
 
     def validate(self) -> None:
         if self.ssd_partition < 0:

@@ -29,6 +29,8 @@ class Segment:
     size: int
     write_cursor: int = 0
     live_bytes: int = 0
+    #: Claimed by a running cleaner (see :meth:`LogStore.claim_victim`).
+    cleaning: bool = False
 
     @property
     def free(self) -> int:
@@ -123,7 +125,8 @@ class LogStore:
         seg_idx, nbytes = info
         seg = self.segments[seg_idx]
         seg.live_bytes -= nbytes
-        if seg.live_bytes == 0 and seg is not self._current:
+        if (seg.live_bytes == 0 and seg is not self._current
+                and not seg.cleaning):
             seg.write_cursor = 0
             if seg not in self._free:
                 self._free.append(seg)
@@ -133,10 +136,27 @@ class LogStore:
         """The fullest-of-garbage candidate segment to clean, if any."""
         candidates = [s for s in self.segments
                       if s is not self._current and s not in self._free
-                      and s.write_cursor > 0]
+                      and s.write_cursor > 0 and not s.cleaning]
         if not candidates:
             return None
         return max(candidates, key=lambda s: s.garbage)
+
+    def claim_victim(self) -> Optional[Segment]:
+        """Pick a victim worth cleaning and reserve it for the caller.
+
+        ``None`` when the best candidate is fully live (cleaning it is
+        pure churn that can livelock the cleaner).  A claimed segment is
+        skipped by later picks and never recycled by :meth:`invalidate`:
+        only its cleaner hands it back, via :meth:`release_victim`.
+        """
+        victim = self.pick_victim()
+        if victim is None or victim.garbage <= 0:
+            return None
+        victim.cleaning = True
+        return victim
+
+    def is_live(self, lbn: int) -> bool:
+        return lbn in self._extents
 
     def live_extents_in(self, segment: Segment) -> List[Tuple[int, int]]:
         """(lbn, nbytes) of live extents inside ``segment``."""
@@ -177,6 +197,7 @@ class LogStore:
         """Return a fully-cleaned segment to the free list."""
         if segment.live_bytes != 0:
             raise StorageError("victim still has live data")
+        segment.cleaning = False
         segment.write_cursor = 0
         if segment not in self._free and segment is not self._current:
             self._free.append(segment)

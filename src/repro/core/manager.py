@@ -515,29 +515,35 @@ class IBridgeManager:
     CLEAN_RESERVE = 2
 
     def _clean_log_if_needed(self):
-        """Greedy segment cleaning to keep free log space available."""
+        """Greedy segment cleaning to keep free log space available.
+
+        Foreground drops run while the copy I/O yields, so an extent is
+        re-checked for liveness after its read, and its mapping moves to
+        the new LBN before the copy write yields.  Claiming the victim
+        keeps concurrent cleaners off it.
+        """
         log = self._log
         while log.needs_cleaning(reserve=self.CLEAN_RESERVE):
-            victim = log.pick_victim()
-            if victim is None or victim.garbage <= 0:
-                # No candidate, or the best candidate is fully live:
-                # cleaning it would copy a whole segment to reclaim
-                # nothing — pure churn that can livelock the loop.
+            victim = log.claim_victim()
+            if victim is None:
                 return
             for lbn, size in log.live_extents_in(victim):
-                entry = self._by_lbn.get(lbn)
+                if not log.is_live(lbn):
+                    continue
                 read = self.ssd_queue.submit(Op.READ, lbn, size,
                                              stream=BACKGROUND_STREAM)
                 yield read.done
+                if not log.is_live(lbn):
+                    continue  # dropped while the copy was being read
                 new_lbn = log.relocate(lbn)
+                entry = self._by_lbn.pop(lbn, None)
+                if entry is not None:
+                    entry.ssd_lbn = new_lbn
+                    self._by_lbn[new_lbn] = entry
                 self._ssd_trim(lbn, size)
                 write = self.ssd_queue.submit(Op.WRITE, new_lbn, size,
                                               stream=BACKGROUND_STREAM)
                 yield write.done
-                if entry is not None:
-                    del self._by_lbn[lbn]
-                    entry.ssd_lbn = new_lbn
-                    self._by_lbn[new_lbn] = entry
                 if self.audit:
                     self.audit.check("clean")
             log.release_victim(victim)

@@ -332,6 +332,12 @@ class FaultRecord:
     #: merged logs sort and compare across shard counts.
     index: int = -1
 
+    def to_dict(self) -> dict:
+        """Plain-dict form carried on results and shard summaries."""
+        return {"time": self.time, "phase": self.phase,
+                "event": self.event.to_dict(), "detail": dict(self.detail),
+                "index": self.index}
+
     def signature(self) -> tuple:
         """Hashable identity used by determinism tests."""
         return (round(self.time, 9), self.phase, self.event.to_dict(),

@@ -37,13 +37,12 @@ safe) attempt event.
 
 Fault plans partition with the cluster: each shard's injector drives
 the plan events targeting its own servers, while network windows and
-fleet-wide storms install on every shard (a cross-shard round trip
-plays its request leg on the client's shard and its reply leg on the
-server's, so a net window must exist on both to be honored).  Drop-RNG
-substreams are keyed by plan name + *plan* event index — never by the
-partition — and the coordinator merges transition logs, recovery
-counters and restoration checks (:func:`merge_fault_records`,
-:func:`merge_recovery`, :func:`run_sharded_episode`).
+fleet-wide storms install on every shard (a round trip plays its legs
+on both shards).  Drop-RNG substreams are keyed by plan name + *plan*
+event index, never by the partition, and the coordinator merges
+transition logs, recovery counters, audit verdicts and restoration
+checks (:func:`merge_fault_records`, :func:`merge_recovery`,
+:func:`merge_audit`, :func:`run_sharded_episode`).
 
 Determinism: for a fixed ``(seed, shards)`` the partition, the window
 schedule, the per-destination record order (sorted by departure time,
@@ -57,6 +56,7 @@ so merged request lists never collide.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -235,11 +235,9 @@ class ShardWorker:
         self.fault_plan = fault_plan
         self.ctx = ShardContext(shard_id, nshards)
         self.cluster = None
-        self._run = None
         self._done = None
         self._start = 0.0
-        self._base_read = 0
-        self._base_written = 0
+        self._base_bytes = (0, 0)
 
     # ------------------------------------------------------------ lifecycle
     def setup(self) -> int:
@@ -254,9 +252,9 @@ class ShardWorker:
         """Start this shard's ranks; returns (next event time, done?)."""
         wl = self.workload
         run_cls = _shard_run_cls()
-        self._run = run_cls(self.cluster, wl.nprocs,
-                            wl.client_nodes or wl.nprocs, self.ctx)
-        self._done = self._run.launch(wl.body)
+        run = run_cls(self.cluster, wl.nprocs, wl.client_nodes or wl.nprocs,
+                      self.ctx)
+        self._done = run.launch(wl.body)
         return self.cluster.env.peek(), self._done.triggered
 
     # -------------------------------------------------------------- window
@@ -269,14 +267,10 @@ class ShardWorker:
         local heap (their timeout simply fires in a later window) — the
         returned ``next_event_time`` accounts for them via ``peek``.
 
-        ``stats`` is the barrier profiler's per-window telemetry,
-        ``(busy_ns, idle_ns, events, sent, recv)``: integer-nanosecond
-        wall clocks (``time.perf_counter_ns`` — integers so the
-        coordinator's busy + idle + wait == wall identity is *exact*,
-        never float-rounded), the number of events the shard scheduled
-        during the window (the heap sequence counter delta — the
-        zero-cost activity proxy; the hot dispatch loop is left
-        untouched), and the cross-shard mailbox volume both ways.
+        ``stats`` is the barrier profiler's ``(busy_ns, idle_ns, events,
+        sent, recv)``: integer ``perf_counter_ns`` clocks (so the
+        coordinator's identity is exact), the heap sequence delta as a
+        zero-cost event count, and the mailbox volume both ways.
         """
         t0 = time.perf_counter_ns()
         env = self.cluster.env
@@ -339,20 +333,19 @@ class ShardWorker:
         return self.cluster.env.now
 
     def peek(self) -> float:
-        """Next local event time (seeds the settle loop's candidates)."""
+        """Next local event time (seeds the settle case of the window loop)."""
         return self.cluster.env.peek()
 
     def sync(self, t: float) -> float:
         """Advance the local clock to the cluster-wide time ``t``.
 
         Used after per-shard drains (which advance clocks unevenly) so
-        the next pass's cross-shard departures share one time base.  No
-        rank is active during a sync, so request traffic in the outbox
-        is a protocol violation.  Leftover *replies* are legal under
-        faults: a retried sub-request's earlier serving can complete
-        during the drain, after its client already resolved the shared
-        attempt event — delivering them would be a no-op, so they are
-        dropped here instead of routed.
+        the next pass's departures share one time base.  No rank is
+        active, so request traffic in the outbox is a protocol
+        violation.  Leftover *replies* are legal under faults (a retried
+        sub-request's earlier serving completed during the drain, after
+        its client resolved the shared attempt event) and are dropped:
+        delivering them would be a no-op.
         """
         env = self.cluster.env
         if t > env.now or env.peek() <= t:
@@ -383,53 +376,49 @@ class ShardWorker:
         # Server byte counters accumulate across warm passes (the serial
         # reset deliberately keeps them), so the cross-shard conservation
         # ledger diffs against baselines taken here.
-        self._base_read = sum(s.stats.bytes_read for s in cl.servers
-                              if not s.is_remote)
-        self._base_written = sum(s.stats.bytes_written for s in cl.servers
-                                 if not s.is_remote)
+        self._base_bytes = self._served_bytes()
         return self._start
+
+    def _served_bytes(self) -> Tuple[int, int]:
+        """(read, written) bytes accounted by this shard's own servers."""
+        local = [s.stats for s in self.cluster.servers if not s.is_remote]
+        return (sum(st.bytes_read for st in local),
+                sum(st.bytes_written for st in local))
 
     # ------------------------------------------------------------- results
     def finalize(self) -> Dict:
         """Close out the run; return this shard's picklable summary."""
         from ..devices.base import Op
+        from ..workloads.base import recovery_snapshot
         cl = self.cluster
+        stats = cl.ibridge_stats()
+        served = self._served_bytes()
+        asked = {Op.READ: 0, Op.WRITE: 0}
+        for p in cl.requests:
+            if p.complete_time is not None and p.submit_time >= self._start:
+                asked[p.op] += p.nbytes
         summary: Dict = {
             "shard": self.shard_id,
             "makespan": cl.env.now - self._start,
             "now": cl.env.now,
             "requests": list(cl.requests),
             "timeouts": sum(c.timeouts for c in cl._clients.values()),
-            "ibridge": None,
+            "ibridge": None if stats is None else dict(vars(stats)),
+            "recovery": recovery_snapshot(cl),
             "obs": None,
             "audit": None if cl.audit is None else cl.audit.verdict(),
-            "delta_read": sum(s.stats.bytes_read for s in cl.servers
-                              if not s.is_remote) - self._base_read,
-            "delta_written": sum(s.stats.bytes_written for s in cl.servers
-                                 if not s.is_remote) - self._base_written,
-            "req_read_bytes": sum(
-                p.nbytes for p in cl.requests
-                if p.complete_time is not None
-                and p.submit_time >= self._start and p.op is Op.READ),
-            "req_write_bytes": sum(
-                p.nbytes for p in cl.requests
-                if p.complete_time is not None
-                and p.submit_time >= self._start and p.op is Op.WRITE),
+            # (read, written) over the measured pass: bytes the servers
+            # accounted vs bytes the completed requests asked for.
+            "served": (served[0] - self._base_bytes[0],
+                       served[1] - self._base_bytes[1]),
+            "asked": (asked[Op.READ], asked[Op.WRITE]),
         }
-        stats = cl.ibridge_stats()
-        if stats is not None:
-            summary["ibridge"] = dict(vars(stats))
-        from ..workloads.base import recovery_snapshot
-        summary["recovery"] = recovery_snapshot(cl)
         if cl.faults is not None:
-            summary["fault_records"] = [
-                {"time": r.time, "phase": r.phase,
-                 "event": r.event.to_dict(), "detail": dict(r.detail),
-                 "index": r.index}
-                for r in cl.faults.records]
-        if cl.obs is not None and cl.obs.timeline is not None:
-            summary["timeline_rows"] = len(cl.obs.timeline.rows)
+            summary["fault_records"] = [r.to_dict()
+                                        for r in cl.faults.records]
         if cl.obs is not None:
+            if cl.obs.timeline is not None:
+                summary["timeline_rows"] = len(cl.obs.timeline.rows)
             cl.obs.finish_run()
             if cl.obs.tracer is not None:
                 report = cl.obs.analyze()
@@ -544,14 +533,10 @@ class _ProcessDriver:
 
     def close(self) -> None:
         for conn in self._conns:
-            try:
+            with contextlib.suppress(Exception):
                 conn.send(("_stop", ()))
-            except Exception:
-                pass
-            try:
+            with contextlib.suppress(Exception):
                 conn.close()
-            except Exception:
-                pass
         for proc in self._procs:
             proc.join(timeout=10)
             if proc.is_alive():
@@ -575,37 +560,44 @@ def _route(outboxes: List[List[tuple]], nshards: int) -> List[List[tuple]]:
     return buckets
 
 
-def _run_pass(driver, nshards: int, lookahead: float, drain: bool,
+def _run_pass(driver, nshards: int, lookahead: float,
+              until: Optional[float] = None,
               profile: Optional[List[Dict[str, Any]]] = None,
               guard=None) -> int:
-    """One full workload pass under the window protocol; returns the
-    number of window barriers executed.
+    """The coordinator's one window loop; returns the windows executed.
 
-    When ``profile`` is a list, every window appends one telemetry
-    record to it (the barrier profiler).  Per shard the record carries
-    busy/idle nanoseconds from the worker's own clock; the coordinator
-    derives the barrier semantics: a window's wall time is the slowest
-    shard's work time (``wall = max(busy + idle)`` — pure barrier
-    arithmetic, immune to cross-process clock skew), every other shard
-    waited out the difference (``wait = wall - work``), and the shard
-    with the maximal work *gated* the window.  All integers, so
-    ``busy + idle + wait == wall`` holds exactly for every shard.
+    ``until=None`` runs a workload pass: the shards launch their ranks,
+    and it ends once all ranks are done and the mailbox is empty.
+    ``until=t`` settles past a fault horizon: nothing launches, local
+    events before ``t`` open windows, and pending mail is delivered
+    even when it arrives after ``t``.  Windows end at ``min(candidates)
+    + lookahead`` in both cases (DESIGN.md §14).
 
-    ``guard`` (the chaos budget hook) is called after every window as
-    ``guard(t_end, events)`` with the window's end time and the total
-    engine events the shards scheduled in it; it raises
-    :class:`~repro.errors.EpisodeBudgetError` to abort a runaway
-    episode.  It runs at the coordinator — never inside a shard's heap
-    — so it cannot perturb event order.
+    ``profile`` (a list) receives one barrier-profiler record per
+    window: per-shard busy/idle ns from the worker's own clock, the
+    window's ``wall = max(busy + idle)`` (barrier arithmetic, immune to
+    cross-process clock skew), ``wait = wall - work`` and the gating
+    shard.  All integers, so ``busy + idle + wait == wall`` exactly.
+
+    ``guard(t_end, events)`` (the chaos budget hook) runs after every
+    window with its end time and the engine events all shards
+    scheduled in it, and raises to abort.  It runs at the coordinator,
+    outside every shard's heap, so it cannot perturb event order.
     """
-    launches = driver.call_all("launch")
-    next_times = [l[0] for l in launches]
-    dones = [l[1] for l in launches]
+    if until is None:
+        horizon = _INF
+        launches = driver.call_all("launch")
+        next_times = [nxt for nxt, _ in launches]
+        dones = [done for _, done in launches]
+    else:
+        horizon = until
+        next_times = driver.call_all("peek")
+        dones = [t >= until for t in next_times]
     pending: List[List[tuple]] = [[] for _ in range(nshards)]
     windows = 0
     t_prev: Optional[float] = None
     while not (all(dones) and not any(pending)):
-        candidates = [t for t in next_times if t != _INF]
+        candidates = [t for t in next_times if t < horizon]
         for bucket in pending:
             candidates.extend(rec[2] + lookahead for rec in bucket)
         if not candidates:
@@ -641,52 +633,15 @@ def _run_pass(driver, nshards: int, lookahead: float, drain: bool,
         if guard is not None:
             guard(t_next, sum(r[3][2] for r in results))
         next_times = [r[1] for r in results]
-        dones = [r[2] for r in results]
+        dones = [r[2] if until is None else r[1] >= until
+                 for r in results]
         pending = _route([r[0] for r in results], nshards)
-    if drain:
-        nows = driver.call_all("drain")
-        t_sync = max(nows)
-        driver.call_all("sync", [(t_sync,) for _ in range(nshards)])
     return windows
 
 
-def _run_settle(driver, nshards: int, lookahead: float, until: float,
-                guard=None) -> int:
-    """Advance every shard past ``until`` (the plan's fault horizon).
-
-    The rank bodies are done; what is still live is the injector's
-    cleanup transitions, recovery writeback, and any straggling
-    cross-shard serves from retried sub-requests.  The same window
-    protocol as :func:`_run_pass` runs them out — candidates are local
-    events *before* ``until`` plus every pending cross-shard arrival —
-    and a final ``sync`` aligns all clocks at the horizon (dropping
-    late replies; see :meth:`ShardWorker.sync`).  Returns the number of
-    windows executed.
-    """
-    next_times = driver.call_all("peek")
-    pending: List[List[tuple]] = [[] for _ in range(nshards)]
-    windows = 0
-    while True:
-        candidates = [t for t in next_times if t < until]
-        for bucket in pending:
-            # Pending mail must be delivered regardless of the horizon.
-            candidates.extend(rec[2] + lookahead for rec in bucket)
-        if not candidates:
-            break
-        t_next = min(candidates) + lookahead
-        results = driver.call_all(
-            "window", [(t_next, pending[i]) for i in range(nshards)])
-        windows += 1
-        if guard is not None:
-            guard(t_next, sum(r[3][2] for r in results))
-        next_times = [r[1] for r in results]
-        pending = _route([r[0] for r in results], nshards)
-    driver.call_all("sync", [(until,) for _ in range(nshards)])
-    return windows
-
-
-def _merge_audit(cfg, summaries: List[Dict]) -> Optional[Dict]:
-    """Combine per-shard audit verdicts into one cluster-wide verdict."""
+def merge_audit(summaries: List[Dict]) -> Optional[Dict]:
+    """Combine per-shard audit verdicts into one cluster-wide verdict
+    (``None`` when no shard was audited)."""
     verdicts = [s["audit"] for s in summaries if s["audit"] is not None]
     if not verdicts:
         return None
@@ -701,18 +656,79 @@ def _merge_audit(cfg, summaries: List[Dict]) -> Optional[Dict]:
     }
 
 
-def _shard_specs(cfg, workload, nshards: int, lookahead: float,
-                 fault_plan=None) -> List[Dict]:
+def _drive(cfg, workload, fault_plan, warm_runs: int,
+           reset_after_warm: bool, drain: bool, guard=None,
+           settle_until: Optional[float] = None,
+           episode: bool = False) -> Dict[str, Any]:
+    """The one sharded run sequence: open the driver, set the shards
+    up, warm passes, reset, ``mark_start``, timed pass (profiled),
+    finalize, close.  With ``drain`` every pass ends with a drain and a
+    clock sync at the slowest shard's time.
+
+    ``episode`` is the chaos shape: a ReproError from the passes is
+    returned instead of raised, the clocks settle past ``settle_until``
+    and drain once more (not after a budget abort, which leaves the run
+    torn), the restoration oracle is read only if that settle finished,
+    and the shards are always finalized.
+    """
+    from ..errors import EpisodeBudgetError, ReproError
+    nshards = cfg.shards
+    lookahead = (cfg.shard_lookahead if cfg.shard_lookahead is not None
+                 else cfg.network.latency)
     wire = pickle.dumps(workload)
-    return [{"cfg": cfg, "workload_pickle": wire, "shard_id": k,
-             "nshards": nshards, "lookahead": lookahead,
-             "fault_plan": fault_plan}
-            for k in range(nshards)]
+    specs = [{"cfg": cfg, "workload_pickle": wire, "shard_id": k,
+              "nshards": nshards, "lookahead": lookahead,
+              "fault_plan": fault_plan}
+             for k in range(nshards)]
 
+    def drain_and_sync():
+        t_sync = max(driver.call_all("drain"))
+        driver.call_all("sync", [(t_sync,)] * nshards)
 
-def _lookahead(cfg) -> float:
-    return (cfg.shard_lookahead if cfg.shard_lookahead is not None
-            else cfg.network.latency)
+    def one_pass(profile=None):
+        windows = _run_pass(driver, nshards, lookahead, profile=profile,
+                            guard=guard)
+        if drain:
+            drain_and_sync()
+        return windows
+
+    out: Dict[str, Any] = {
+        "error": None, "settled": False, "restoration": [], "windows": 0,
+        "profile": {"nshards": nshards, "lookahead": lookahead,
+                    "windows": []}}
+    driver = (_InlineDriver if cfg.shard_mode == "inline"
+              else _ProcessDriver)(specs)
+    try:
+        driver.call_all("setup")
+        try:
+            for _ in range(max(0, warm_runs)):
+                out["windows"] += one_pass()
+            if warm_runs and reset_after_warm:
+                driver.call_all("reset")
+            driver.call_all("mark_start")
+            out["windows"] += one_pass(out["profile"]["windows"])
+        except ReproError as exc:
+            if not episode:
+                raise
+            out["error"] = exc
+        if episode and not isinstance(out["error"], EpisodeBudgetError):
+            try:
+                if settle_until is not None:
+                    out["windows"] += _run_pass(driver, nshards, lookahead,
+                                                until=settle_until,
+                                                guard=guard)
+                    driver.call_all("sync", [(settle_until,)] * nshards)
+                drain_and_sync()
+                out["settled"] = True
+            except ReproError as exc:
+                out["error"] = out["error"] or exc
+        if out["settled"]:
+            for failures in driver.call_all("health"):
+                out["restoration"].extend(failures)
+        out["summaries"] = driver.call_all("finalize")
+    finally:
+        driver.close()
+    return out
 
 
 def run_sharded_workload(cfg, workload, warm_runs: int = 0,
@@ -722,8 +738,8 @@ def run_sharded_workload(cfg, workload, warm_runs: int = 0,
     """Run ``workload`` on a cluster partitioned into ``cfg.shards``.
 
     The sharded analog of :func:`repro.workloads.base.run_workload`
-    with the same pass structure (warm passes, measurement reset, timed
-    pass, drain) and a merged :class:`~repro.analysis.metrics.RunResult`:
+    (same pass structure) with a merged
+    :class:`~repro.analysis.metrics.RunResult`:
     requests concatenated across shards (canonically sorted), makespan
     = the slowest shard's, iBridge/obs counters summed, and the merged
     audit verdict (plus the cross-shard byte-conservation check) on
@@ -745,96 +761,24 @@ def run_sharded_workload(cfg, workload, warm_runs: int = 0,
         return run_workload(cluster, workload, drain=drain,
                             warm_runs=warm_runs,
                             reset_after_warm=reset_after_warm)
-
-    nshards = cfg.shards
-    lookahead = _lookahead(cfg)
-    specs = _shard_specs(cfg, workload, nshards, lookahead,
-                         fault_plan=fault_plan)
-    driver_cls = (_InlineDriver if cfg.shard_mode == "inline"
-                  else _ProcessDriver)
-    driver = driver_cls(specs)
-    try:
-        driver.call_all("setup")
-        for _ in range(max(0, warm_runs)):
-            _run_pass(driver, nshards, lookahead, drain)
-        if warm_runs and reset_after_warm:
-            driver.call_all("reset")
-        driver.call_all("mark_start")
-        profile_windows: List[Dict[str, Any]] = []
-        windows = _run_pass(driver, nshards, lookahead, drain,
-                            profile=profile_windows)
-        summaries = driver.call_all("finalize")
-    finally:
-        driver.close()
-    profile = {"nshards": nshards, "lookahead": lookahead,
-               "windows": profile_windows}
-    return _merge_results(cfg, workload, summaries, windows, profile)
+    out = _drive(cfg, workload, fault_plan, warm_runs, reset_after_warm,
+                 drain)
+    return _merge_results(cfg, workload, out["summaries"], out["profile"])
 
 
 def run_sharded_episode(cfg, workload, fault_plan=None,
                         settle_until: Optional[float] = None,
                         warm_runs: int = 0, guard=None) -> Dict:
-    """Chaos-shaped sharded run: pass, settle past the horizon, drain.
+    """Chaos-shaped sharded run: passes, settle past the horizon, drain.
 
-    The sharded analog of the chaos episode body: never raises for
-    in-simulation failures — the first :class:`~repro.errors.ReproError`
-    out of the window protocol is caught and returned, the workers are
-    *always* finalized (they survive per-RPC exceptions), and the
-    restoration oracle is read only when the settle completed.  Mirrors
-    the serial runner's budget semantics: a budget abort skips the
-    settle (the run is torn anyway).
-
-    Returns a dict with ``summaries`` (per-shard finalize payloads),
-    ``error`` (the caught exception or ``None``), ``settled``,
-    ``restoration`` (concatenated per-shard oracle findings), and
-    ``windows``.
+    Never raises for in-simulation failures (see :func:`_drive`).
+    Returns ``summaries`` (per-shard finalize payloads), ``error`` (the
+    first caught exception or ``None``), ``settled``, ``restoration``
+    (per-shard oracle findings) and ``windows`` (all passes + settle).
     """
-    from ..errors import EpisodeBudgetError, ReproError
     cfg.validate()
-    nshards = cfg.shards
-    lookahead = _lookahead(cfg)
-    specs = _shard_specs(cfg, workload, nshards, lookahead,
-                         fault_plan=fault_plan)
-    driver_cls = (_InlineDriver if cfg.shard_mode == "inline"
-                  else _ProcessDriver)
-    driver = driver_cls(specs)
-    error: Optional[BaseException] = None
-    settled = False
-    windows = 0
-    restoration: List[str] = []
-    try:
-        driver.call_all("setup")
-        try:
-            for _ in range(max(0, warm_runs)):
-                windows += _run_pass(driver, nshards, lookahead,
-                                     drain=True, guard=guard)
-            if warm_runs:
-                driver.call_all("reset")
-            driver.call_all("mark_start")
-            windows += _run_pass(driver, nshards, lookahead, drain=True,
-                                 guard=guard)
-        except ReproError as exc:
-            error = exc
-        if not isinstance(error, EpisodeBudgetError):
-            try:
-                if settle_until is not None:
-                    windows += _run_settle(driver, nshards, lookahead,
-                                           settle_until, guard=guard)
-                nows = driver.call_all("drain")
-                driver.call_all("sync",
-                                [(max(nows),) for _ in range(nshards)])
-                settled = True
-            except ReproError as exc:
-                if error is None:
-                    error = exc
-        if settled:
-            for failures in driver.call_all("health"):
-                restoration.extend(failures)
-        summaries = driver.call_all("finalize")
-    finally:
-        driver.close()
-    return {"summaries": summaries, "error": error, "settled": settled,
-            "restoration": restoration, "windows": windows}
+    return _drive(cfg, workload, fault_plan, warm_runs, True, True,
+                  guard=guard, settle_until=settle_until, episode=True)
 
 
 def merge_fault_records(summaries: List[Dict]) -> List[Dict]:
@@ -872,17 +816,16 @@ def merge_recovery(summaries: List[Dict]) -> Dict[str, float]:
     return merged
 
 
-def _merge_results(cfg, workload, summaries: List[Dict], windows: int,
-                   profile: Optional[Dict[str, Any]] = None):
+def _merge_results(cfg, workload, summaries: List[Dict],
+                   profile: Dict[str, Any]):
     from ..analysis.metrics import RunResult
 
-    requests = []
-    for s in summaries:
-        requests.extend(s["requests"])
-    requests.sort(key=lambda r: (
-        r.complete_time if r.complete_time is not None else _INF,
-        r.submit_time if r.submit_time is not None else _INF,
-        r.rank, r.offset, r.id))
+    requests = sorted(
+        (r for s in summaries for r in s["requests"]),
+        key=lambda r: (
+            r.complete_time if r.complete_time is not None else _INF,
+            r.submit_time if r.submit_time is not None else _INF,
+            r.rank, r.offset, r.id))
 
     agg = None
     if any(s["ibridge"] for s in summaries):
@@ -909,20 +852,19 @@ def _merge_results(cfg, workload, summaries: List[Dict], windows: int,
             sum(o["mean_magnification"] * o["traces"] for o in obs_parts)
             / traces if traces else 0.0)
     result.extra["shards"] = float(len(summaries))
-    result.extra["shard_windows"] = float(windows)
+    result.extra["shard_windows"] = float(len(profile["windows"]))
     if any(s.get("fault_records") is not None for s in summaries):
         result.fault_events = merge_fault_records(summaries)
         result.recovery = merge_recovery(summaries)
     timeline_rows = sum(s.get("timeline_rows") or 0 for s in summaries)
     if timeline_rows:
         result.extra["timeline_rows"] = float(timeline_rows)
-    if profile is not None:
-        # Wall-clock telemetry, deliberately excluded from run_digest
-        # (the digest hashes only numeric extras): the same simulated
-        # run profiles differently on every host.
-        result.extra["shard_profile"] = profile
+    # Wall-clock telemetry, deliberately excluded from run_digest (the
+    # digest hashes only numeric extras): the same simulated run
+    # profiles differently on every host.
+    result.extra["shard_profile"] = profile
 
-    merged = _merge_audit(cfg, summaries)
+    merged = merge_audit(summaries)
 
     # Cross-shard conservation: with no timeouts (hence no duplicate
     # at-least-once servings), the bytes the servers accounted during
@@ -931,15 +873,13 @@ def _merge_results(cfg, workload, summaries: List[Dict], windows: int,
     timeouts = sum(s["timeouts"] for s in summaries)
     conserved = True
     if timeouts == 0:
-        delta_read = sum(s["delta_read"] for s in summaries)
-        delta_written = sum(s["delta_written"] for s in summaries)
-        req_read = sum(s["req_read_bytes"] for s in summaries)
-        req_write = sum(s["req_write_bytes"] for s in summaries)
-        conserved = (delta_read == req_read and delta_written == req_write)
+        served = [sum(s["served"][i] for s in summaries) for i in (0, 1)]
+        asked = [sum(s["asked"][i] for s in summaries) for i in (0, 1)]
+        conserved = served == asked
         if not conserved:
-            message = (f"servers read {delta_read} B for {req_read} B of "
-                       f"completed read requests, wrote {delta_written} B "
-                       f"for {req_write} B of completed write requests")
+            message = (f"servers read {served[0]} B for {asked[0]} B of "
+                       f"completed read requests, wrote {served[1]} B "
+                       f"for {asked[1]} B of completed write requests")
             if merged is None:
                 merged = {"ok": False, "violations": 0, "checks": [],
                           "watchdog_fired": 0, "first": None}
@@ -1014,24 +954,15 @@ def analyze_shard_profile(profile: Dict[str, Any]) -> Dict[str, Any]:
     """
     nshards = profile["nshards"]
     windows = profile["windows"]
-    busy = [0] * nshards
-    idle = [0] * nshards
-    wait = [0] * nshards
-    events = [0] * nshards
-    sent = [0] * nshards
-    recv = [0] * nshards
-    gated = [0] * nshards
-    wall_total = 0
-    for w in windows:
-        wall_total += w["wall_ns"]
-        gated[w["gating"]] += 1
-        for k in range(nshards):
-            busy[k] += w["busy_ns"][k]
-            idle[k] += w["idle_ns"][k]
-            wait[k] += w["wait_ns"][k]
-            events[k] += w["events"][k]
-            sent[k] += w["sent"][k]
-            recv[k] += w["recv"][k]
+
+    def column(field: str) -> List[int]:
+        return [sum(w[field][k] for w in windows) for k in range(nshards)]
+
+    busy, idle, wait, events, sent, recv = map(column, (
+        "busy_ns", "idle_ns", "wait_ns", "events", "sent", "recv"))
+    gated = [sum(1 for w in windows if w["gating"] == k)
+             for k in range(nshards)]
+    wall_total = sum(w["wall_ns"] for w in windows)
     work = [b + i for b, i in zip(busy, idle)]
     bottleneck = work.index(max(work)) if nshards else 0
     efficiency = (sum(busy) / (nshards * wall_total)

@@ -57,11 +57,14 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
     """
     workload.prepare(cluster)
 
-    for _ in range(max(0, warm_runs)):
+    def one_pass():
         run = MPIRun(cluster, workload.nprocs, client_nodes=workload.client_nodes)
         run.run_to_completion(workload.body)
         if drain:
             cluster.drain()
+
+    for _ in range(max(0, warm_runs)):
+        one_pass()
 
     if warm_runs and reset_after_warm:
         _reset_measurement_state(cluster)
@@ -72,10 +75,7 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
         cluster.obs.registry.sample(cluster.env.now)
 
     start = cluster.env.now
-    run = MPIRun(cluster, workload.nprocs, client_nodes=workload.client_nodes)
-    run.run_to_completion(workload.body)
-    if drain:
-        cluster.drain()
+    one_pass()
     makespan = cluster.env.now - start
 
     stats = cluster.ibridge_stats()
@@ -104,10 +104,7 @@ def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
             for key, stats in cluster.obs.timeline_summary().items():
                 result.extra[f"timeline_last[{key}]"] = stats["last"]
     if cluster.faults is not None:
-        result.fault_events = [
-            {"time": r.time, "phase": r.phase, "event": r.event.to_dict(),
-             "detail": dict(r.detail), "index": r.index}
-            for r in cluster.faults.records]
+        result.fault_events = [r.to_dict() for r in cluster.faults.records]
         result.recovery = recovery_snapshot(cluster)
     return result
 

@@ -164,6 +164,30 @@ def test_relocate_keeps_victim_ownership():
     assert victim in log._free
 
 
+def test_claimed_victim_is_skipped_and_kept_by_its_cleaner():
+    """Two cleaners must never work on (and release) the same victim,
+    and a foreground drop of a claimed victim's last extent must not
+    recycle it under the cleaner that still owns it."""
+    log = make_log(region=1 * MiB, seg=256 * KiB)
+    seg0 = [log.append(64 * KiB) for _ in range(4)]    # fills segment 0
+    seg1 = [log.append(64 * KiB) for _ in range(4)]    # fills segment 1
+    log.append(1 * KiB)                                # current = segment 2
+    for lbn in seg0[:3]:
+        log.invalidate(lbn)
+    log.invalidate(seg1[0])
+    victim = log.claim_victim()
+    assert victim.index == 0
+    second = log.claim_victim()
+    assert second is not None and second.index == 1
+    assert log.claim_victim() is None                  # nothing else to clean
+    log.invalidate(seg0[3])                            # foreground drop
+    assert not log.is_live(seg0[3])
+    assert victim.live_bytes == 0 and victim not in log._free
+    log.release_victim(victim)
+    assert victim in log._free and not victim.cleaning
+    assert log.pick_victim() is None                   # segment 1 still claimed
+
+
 def test_relocate_rolls_back_when_log_is_full():
     """A relocation that cannot allocate must leave the log exactly as
     found (observable failure, no corruption)."""

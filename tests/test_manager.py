@@ -224,6 +224,24 @@ def test_sibling_term_suppressed_when_sibling_slower():
         assert entries[0].ret < 1e-2
 
 
+def test_log_cleaner_races_foreground_drops():
+    """Regression: the cleaner yields on each extent's copy read and copy
+    write while foreground writes keep dropping entries.  A drop during
+    the read used to make ``relocate`` raise on an unknown extent; one
+    during the write invalidated the stale pre-relocation LBN.  A BTIO
+    cell on a 256 KiB partition hits both windows."""
+    from repro.experiments.common import base_config, scaled_ibridge
+    from repro.experiments.fig9 import make_btio
+    from repro.pfs.cluster import Cluster
+    from repro.workloads import run_workload
+
+    cfg = scaled_ibridge(base_config(seed=20130520), 0.0006,
+                         ssd_partition=256 * KiB).with_ftl()
+    result = run_workload(Cluster(cfg), make_btio(64, 0.0006, steps=10))
+    assert result.requests
+    assert all(r.complete_time is not None for r in result.requests)
+
+
 def test_log_cleaning_relocates_live_data():
     env, server = make_server(ssd_partition=64 * KiB,
                               dynamic_partition=False,

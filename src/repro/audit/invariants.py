@@ -45,9 +45,6 @@ class ManagerAuditor:
     def __init__(self, manager: "IBridgeManager", runtime: "AuditRuntime") -> None:
         self.manager = manager
         self.runtime = runtime
-        cfg = runtime.config
-        self._coherence = cfg.check_coherence
-        self._conservation = cfg.check_conservation
         # Independent payload ledgers (bytes).
         self.client_write_bytes = 0     # accepted write payload
         self.disk_write_bytes = 0       # served at the disk (foreground)
@@ -107,8 +104,6 @@ class ManagerAuditor:
         self.read_served_bytes += ssd_bytes + disk_bytes
         self._trace("read", requested=requested, ssd=ssd_bytes,
                     disk=disk_bytes, readahead=readahead_bytes)
-        if not self._conservation:
-            return
         if ssd_bytes + disk_bytes != requested:
             self._fail(
                 "read-conservation",
@@ -122,10 +117,8 @@ class ManagerAuditor:
     def check(self, event: str = "") -> None:
         """Run the continuous invariants (called after every mutation)."""
         self.checks += 1
-        if self._conservation:
-            self._check_dirty_ledger(event)
-        if self._coherence:
-            self._check_coherence(event)
+        self._check_dirty_ledger(event)
+        self._check_coherence(event)
 
     def _check_dirty_ledger(self, event: str) -> None:
         ledger = (self.ssd_redirect_bytes - self.writeback_bytes
@@ -298,8 +291,6 @@ class ManagerAuditor:
     def final_check(self) -> None:
         """End-of-run conservation (call after the manager drained)."""
         self.check("final")
-        if not self._conservation:
-            return
         dirty = self.manager.mapping.dirty_bytes
         if dirty != 0:
             self._fail(

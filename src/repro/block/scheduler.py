@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Callable, Deque, Optional, Sequence, Tuple
 
 from ..config import SchedulerConfig
 from ..errors import StorageError
@@ -43,6 +43,31 @@ class Scheduler(abc.ABC):
     def select(self, now: float) -> SelectResult:
         """Pick the next dispatch (see module docstring)."""
 
+    def _absorb(self, dispatch: Dispatch, queued: Sequence[BlockRequest],
+                remove: Callable[[BlockRequest], None]) -> None:
+        """Greedily merge ``queued`` requests contiguous with ``dispatch``.
+
+        Sweeps ``queued`` in order, back-merging before front-merging,
+        and sweeps again while a pass merged anything; each merged
+        request is taken out of the queue with ``remove``.
+        """
+        limit = self.config.max_merge_bytes
+        window = self.config.merge_window
+        merged = True
+        while merged:
+            merged = False
+            for req in list(queued):
+                if not dispatch.within_merge_window(req, window):
+                    continue
+                if dispatch.can_back_merge(req, limit):
+                    remove(req)
+                    dispatch.back_merge(req)
+                    merged = True
+                elif dispatch.can_front_merge(req, limit):
+                    remove(req)
+                    dispatch.front_merge(req)
+                    merged = True
+
 
 class NoopScheduler(Scheduler):
     """FIFO with back/front merging at dispatch build time.
@@ -65,23 +90,7 @@ class NoopScheduler(Scheduler):
         if not self._queue:
             return None, None
         dispatch = Dispatch(self._queue.popleft())
-        # Greedily absorb queued requests contiguous with the dispatch.
-        merged = True
-        limit = self.config.max_merge_bytes
-        window = self.config.merge_window
-        while merged and self._queue:
-            merged = False
-            for req in list(self._queue):
-                if not dispatch.within_merge_window(req, window):
-                    continue
-                if dispatch.can_back_merge(req, limit):
-                    self._queue.remove(req)
-                    dispatch.back_merge(req)
-                    merged = True
-                elif dispatch.can_front_merge(req, limit):
-                    self._queue.remove(req)
-                    dispatch.front_merge(req)
-                    merged = True
+        self._absorb(dispatch, self._queue, self._queue.remove)
         self._pending -= len(dispatch.members)
         return dispatch, None
 
@@ -135,22 +144,7 @@ class DeadlineScheduler(Scheduler):
                 first = self._sorted[0]
         self._take(first)
         dispatch = Dispatch(first)
-        limit = self.config.max_merge_bytes
-        window = self.config.merge_window
-        merged = True
-        while merged:
-            merged = False
-            for req in list(self._sorted):
-                if not dispatch.within_merge_window(req, window):
-                    continue
-                if dispatch.can_back_merge(req, limit):
-                    self._take(req)
-                    dispatch.back_merge(req)
-                    merged = True
-                elif dispatch.can_front_merge(req, limit):
-                    self._take(req)
-                    dispatch.front_merge(req)
-                    merged = True
+        self._absorb(dispatch, self._sorted, self._take)
         self._position = dispatch.end
         self._pending -= len(dispatch.members)
         return dispatch, None

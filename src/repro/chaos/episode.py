@@ -15,10 +15,12 @@ every window has reverted, drain, and then read the oracles:
   a sub-request even though the generator sized the retry budget to
   outlast every window: a recovery bug by construction.
 
-A budget guard process bounds the episode in simulated seconds and
-engine events (both deterministic) plus real seconds (backstop), so a
+A budget guard bounds the episode in simulated seconds and engine
+events (both deterministic) plus real seconds (backstop), so a
 livelocked sample surfaces as a ``budget-exceeded`` verdict instead of
-hanging the harness.
+hanging the harness.  Serial and sharded episodes run the same sequence
+(:func:`repro.sim.parallel.run_sharded_episode`) and are judged by the
+same oracles.
 
 Everything an episode returns is a plain picklable dict, and
 :func:`episode_signature` hashes the deterministic subset — the replay
@@ -29,20 +31,18 @@ check and the corpus replay assert.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..config import (AuditConfig, ClusterConfig, ObsConfig, RetryConfig,
                       ServerConfig)
 from ..devices.base import Op
 from ..errors import (AuditError, ChaosError, EpisodeBudgetError,
-                      ReproError, RequestTimeoutError)
+                      RequestTimeoutError)
 from ..experiments.runner import stable_hash
-from ..faults.health import restoration_failures
 from ..faults.plan import FaultPlan
-from ..pfs.cluster import Cluster
 from ..sim.parallel import (merge_audit, merge_fault_records, merge_recovery,
                             run_sharded_episode)
-from ..workloads import IorMpiIo, MpiIoTest, recovery_snapshot, run_workload
+from ..workloads import IorMpiIo, MpiIoTest
 
 #: Type alias for readability; an episode result is a plain dict.
 EpisodeResult = Dict
@@ -51,11 +51,6 @@ EpisodeResult = Dict
 #: oracles are read — covers the injector's cleanup transitions and the
 #: first post-recovery writeback pass.
 SETTLE_SLACK = 0.05
-
-#: Sim-time gap between budget-guard checks.  The guard is a sim
-#: process (it consumes event-heap sequence numbers), but its schedule
-#: is a pure function of the spec, so determinism is preserved.
-_GUARD_PERIOD = 0.05
 
 
 # ---------------------------------------------------------------- build
@@ -102,39 +97,33 @@ def build_workload(spec: Dict):
 
 
 # ---------------------------------------------------------------- guard
-def _check_budget(budget: Dict, now: float, events: int,
-                  wall_start: float) -> None:
-    """Raise :class:`EpisodeBudgetError` once any episode cap is passed."""
-    if now > budget["sim_time"]:
-        raise EpisodeBudgetError(
-            f"episode passed {budget['sim_time']}s of simulated time "
-            f"(now {now:.3f}s) — livelock or runaway workload")
-    if events > budget["events"]:
-        raise EpisodeBudgetError(
-            f"episode scheduled more than {budget['events']} engine events")
-    if time.monotonic() - wall_start > budget["wall_clock"]:
-        raise EpisodeBudgetError(
-            f"episode exceeded the {budget['wall_clock']}s real-time "
-            "backstop")
+def _budget_guard(budget: Dict, wall_start: float):
+    """The episode's budget guard, shared by both engines.
 
-
-def _budget_guard(env, budget: Dict, wall_start: float):
-    """The serial guard: a sim process checking every ``_GUARD_PERIOD``."""
-    while True:
-        yield env.timeout(_GUARD_PERIOD)
-        _check_budget(budget, env.now, env._seq, wall_start)
-
-
-def _coordinator_guard(budget: Dict, wall_start: float):
-    """The sharded guard: the coordinator calls it between window
-    barriers, outside every shard's heap, with the window end and the
-    engine events all shards scheduled in it (both deterministic)."""
+    The engine calls it with the simulated time and the engine events
+    scheduled since the previous call (both deterministic): the serial
+    engine from a sim process on a fixed simulated-time period, the
+    sharded one at the coordinator after every window barrier, outside
+    every shard's heap.  It raises :class:`EpisodeBudgetError` once any
+    cap is passed; real time is only a backstop.
+    """
     events = 0
 
-    def guard(t_end: float, window_events: int) -> None:
+    def guard(now: float, new_events: int) -> None:
         nonlocal events
-        events += window_events
-        _check_budget(budget, t_end, events, wall_start)
+        events += new_events
+        if now > budget["sim_time"]:
+            raise EpisodeBudgetError(
+                f"episode passed {budget['sim_time']}s of simulated time "
+                f"(now {now:.3f}s) — livelock or runaway workload")
+        if events > budget["events"]:
+            raise EpisodeBudgetError(
+                f"episode scheduled more than {budget['events']} engine "
+                "events")
+        if time.monotonic() - wall_start > budget["wall_clock"]:
+            raise EpisodeBudgetError(
+                f"episode exceeded the {budget['wall_clock']}s real-time "
+                "backstop")
 
     return guard
 
@@ -149,15 +138,19 @@ def _classify(exc: BaseException) -> str:
     return "crash"
 
 
-def _judge(spec: Dict, error: Optional[BaseException], verdict: Dict,
-           recovery: Dict, restoration: List[str],
-           makespan: float, fault_log: List[Dict],
-           **extra) -> EpisodeResult:
-    """Read the oracles into the episode result (both engines).
+def _judge(spec: Dict, out: Dict) -> EpisodeResult:
+    """Read the oracles over :func:`run_sharded_episode`'s ``out``.
 
-    ``error`` is the first in-simulation failure; ``restoration`` stays
-    empty unless the settle completed and the oracle was read.
+    ``out["error"]`` is the first in-simulation failure; the
+    restoration findings stay empty unless the settle completed.
+    Sharded episodes sort the per-shard findings, and their fault-log
+    entries also carry the plan ``index`` and the driving ``shard``
+    (broadcast events log once per shard).
     """
+    summaries, error = out["summaries"], out["error"]
+    sharded = len(summaries) > 1
+    verdict = merge_audit(summaries)
+    recovery = merge_recovery(summaries)
     status = "ok" if error is None else _classify(error)
     failures = [] if error is None else [status]
     if not verdict["ok"]:
@@ -166,7 +159,9 @@ def _judge(spec: Dict, error: Optional[BaseException], verdict: Dict,
         failures.append("watchdog")
     if status == "ok" and recovery["exhausted_subrequests"] > 0:
         failures.append("retry-exhausted")
-    failures.extend(restoration)
+    failures.extend(sorted(out["restoration"]) if sharded
+                    else out["restoration"])
+    keys = ("index", "shard") if sharded else ()
     result: EpisodeResult = {
         "spec": spec,
         "status": status,
@@ -174,21 +169,19 @@ def _judge(spec: Dict, error: Optional[BaseException], verdict: Dict,
         "failures": failures,
         "error": (None if error is None
                   else f"{type(error).__name__}: {error}"),
-        "makespan": round(makespan, 9),
+        "makespan": round(max(s["now"] for s in summaries), 9),
         "recovery": recovery,
         "verdict": verdict,
-        "fault_log": fault_log,
-        **extra,
+        # Fault records as signed: rounded time, phase, event (+ keys).
+        "fault_log": [dict({"time": round(r["time"], 9),
+                            "phase": r["phase"], "event": r["event"]},
+                           **{k: r[k] for k in keys})
+                      for r in merge_fault_records(summaries)],
+        "shards": len(summaries),
+        "windows": out["windows"],
     }
     result["signature"] = episode_signature(result)
     return result
-
-
-def _fault_log(records: List[Dict], keys=()) -> List[Dict]:
-    """Fault records as signed: rounded time, phase, event + ``keys``."""
-    return [dict({"time": round(r["time"], 9), "phase": r["phase"],
-                  "event": r["event"]}, **{k: r[k] for k in keys})
-            for r in records]
 
 
 # -------------------------------------------------------------- running
@@ -201,63 +194,16 @@ def run_episode(spec: Dict) -> EpisodeResult:
     if spec.get("schema") != 1:
         raise ChaosError(f"unsupported episode spec schema "
                          f"{spec.get('schema')!r}")
-    config = build_config(spec)
-    workload = build_workload(spec)
     plan = FaultPlan.from_dict(spec["faults"])
-    fault_plan = plan if len(plan) else None
-    horizon = plan.horizon() + SETTLE_SLACK
-    warm_runs = spec["workload"]["warm_runs"]
-    wall_start = time.monotonic()
-    if config.shards > 1:
-        # Same phases and oracles, merged across shards.  Fault-log
-        # entries also carry the plan ``index`` and the driving ``shard``
-        # (broadcast events log once per shard).
-        out = run_sharded_episode(
-            config, workload, fault_plan=fault_plan, settle_until=horizon,
-            warm_runs=warm_runs,
-            guard=_coordinator_guard(spec["budget"], wall_start))
-        summaries = out["summaries"]
-        return _judge(spec, out["error"], merge_audit(summaries),
-                      merge_recovery(summaries),
-                      sorted(out["restoration"]),
-                      max(s["now"] for s in summaries),
-                      _fault_log(merge_fault_records(summaries),
-                                 ("index", "shard")),
-                      shards=config.shards, windows=out["windows"])
-
-    cluster = Cluster(config, fault_plan=fault_plan)
-    env = cluster.env
-    env.process(_budget_guard(env, spec["budget"], wall_start),
-                name="chaos-budget-guard")
-    error: Optional[ReproError] = None
-    start = env.now
-    try:
-        run_workload(cluster, workload, drain=True, warm_runs=warm_runs)
-    except ReproError as exc:
-        error = exc
-
     # Settle past the fault horizon so every window reverts, then drain
     # once more: recovery writeback after the last window is part of
-    # the episode.  Skipped when the budget already fired — the guard
-    # died raising and the run is torn anyway.
-    settled = False
-    if not isinstance(error, EpisodeBudgetError):
-        try:
-            if env.now < horizon:
-                env.run(until=horizon)
-            cluster.drain()
-            settled = True
-        except ReproError as exc:
-            error = error or exc
-    makespan = env.now - start
-    cluster.shutdown()
-
-    records = ([r.to_dict() for r in cluster.faults.records]
-               if cluster.faults is not None else [])
-    return _judge(spec, error, cluster.audit.verdict(),
-                  recovery_snapshot(cluster),
-                  restoration_failures(cluster) if settled else [],
-                  makespan, _fault_log(records))
+    # the episode.
+    return _judge(spec, run_sharded_episode(
+        build_config(spec), build_workload(spec),
+        fault_plan=plan if len(plan) else None,
+        settle_until=plan.horizon() + SETTLE_SLACK,
+        warm_runs=spec["workload"]["warm_runs"],
+        guard=_budget_guard(spec["budget"], time.monotonic())))
 
 
 def episode_signature(result: EpisodeResult) -> str:

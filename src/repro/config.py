@@ -80,9 +80,6 @@ class HDDConfig:
     #: it is forward-adjacent.  This is what makes a synchronous stream
     #: of tiny writes (BTIO) slow on the stock system.
     sweep_idle_reset: float = 0.3 * MS
-    #: Contiguity slack: a request starting within this many bytes of the
-    #: current head position is treated as (near-)sequential.
-    contiguity_slack: int = 0
     #: Maximum forward distance servable by letting the media pass under
     #: the head (cost = distance / transfer rate) instead of a re-seek.
     #: The model charges min(pass-over, seek + rotation) for forward
@@ -274,9 +271,6 @@ class IBridgeConfig:
     return_policy: ReturnPolicy = ReturnPolicy.EFFICIENCY
     #: Period of the per-server T-value report to the metadata server.
     report_period: float = 1.0
-    #: EWMA weights from Eq. 1 (old, new).
-    ewma_old_weight: float = 1.0 / 8.0
-    ewma_new_weight: float = 7.0 / 8.0
     #: Dynamic partitioning between random requests and fragments.  When
     #: False, ``static_split`` gives the (random, fragment) shares.
     dynamic_partition: bool = True
@@ -297,8 +291,6 @@ class IBridgeConfig:
             raise ConfigError("thresholds must be positive")
         if self.report_period <= 0:
             raise ConfigError("report_period must be positive")
-        if abs(self.ewma_old_weight + self.ewma_new_weight - 1.0) > 1e-9:
-            raise ConfigError("EWMA weights must sum to 1")
         if not self.dynamic_partition:
             a, b = self.static_split
             if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-9:
@@ -319,12 +311,6 @@ class AuditConfig:
     #: When False, violations are recorded on the runtime (and traced)
     #: but the run continues — useful for surveying a misbehaving run.
     strict: bool = True
-    #: Shadow the MappingTable / LogStore / PartitionManager after every
-    #: mutation and check that their accounts agree.
-    check_coherence: bool = True
-    #: Track payload bytes end-to-end and assert conservation per read
-    #: and at end-of-run drain.
-    check_conservation: bool = True
     #: Run the livelock/stall watchdog process.
     watchdog: bool = True
     #: Simulated seconds without a single block-request completion
@@ -449,9 +435,8 @@ class RetryConfig:
     max_retries: int = 4
     #: First retry is delayed by this much ...
     backoff_base: float = 0.01
-    #: ... doubling (``backoff_factor``) per attempt, capped at
-    #: ``backoff_cap`` — the classic capped exponential backoff.
-    backoff_factor: float = 2.0
+    #: ... doubling per attempt, capped at ``backoff_cap`` — the classic
+    #: capped exponential backoff.
     backoff_cap: float = 2.0
     #: Total simulated seconds a sub-request may spend retrying before
     #: the client gives up, regardless of how many attempts remain.
@@ -470,14 +455,12 @@ class RetryConfig:
             raise ConfigError("max_retries must be non-negative")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ConfigError("backoff bounds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
         if self.total_timeout is not None and self.total_timeout <= 0:
             raise ConfigError("total_timeout must be positive (or None)")
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (0-based), capped exponential."""
-        return min(self.backoff_base * self.backoff_factor ** attempt,
+        return min(self.backoff_base * 2.0 ** attempt,
                    self.backoff_cap)
 
 

@@ -32,6 +32,10 @@ from ..config import IBridgeConfig, ReturnPolicy
 from ..devices.base import Op
 from ..devices.profiling import SeekProfile
 
+#: Eq. 1's EWMA weights of the old ``T`` and the new sample.
+_EWMA_OLD = 1.0 / 8.0
+_EWMA_NEW = 7.0 / 8.0
+
 
 class DiskServiceModel:
     """Tracks ``T`` for one disk and evaluates redirection returns."""
@@ -90,8 +94,7 @@ class DiskServiceModel:
     def observe_disk(self, op: Op, lbn: int, nbytes: int, head: int) -> float:
         """Update ``T`` for a request being served at the disk (Eq. 1)."""
         s = self.sample(op, lbn, nbytes, head)
-        self._t = (self.config.ewma_old_weight * self._t
-                   + self.config.ewma_new_weight * s)
+        self._t = _EWMA_OLD * self._t + _EWMA_NEW * s
         self.samples += 1
         return self._t
 
@@ -102,9 +105,8 @@ class DiskServiceModel:
     def base_return(self, op: Op, lbn: int, nbytes: int, head: int) -> float:
         """``T_i^ret = T_i^disk − T_i^ssd`` for serving at the SSD."""
         s = self.sample(op, lbn, nbytes, head)
-        t_disk = (self.config.ewma_old_weight * self._t
-                  + self.config.ewma_new_weight * s)
-        return t_disk - self._t  # == ewma_new_weight * (s - T)
+        t_disk = _EWMA_OLD * self._t + _EWMA_NEW * s
+        return t_disk - self._t  # == _EWMA_NEW * (s - T)
 
 
 @dataclass(frozen=True)

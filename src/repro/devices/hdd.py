@@ -73,7 +73,7 @@ class HardDisk(Device):
 
     def is_contiguous(self, lbn: int) -> bool:
         """True when a request at ``lbn`` continues the current stream."""
-        return abs(lbn - self._head) <= self.config.contiguity_slack
+        return lbn == self._head
 
     def positioning_time(self, op: Op, lbn: int, nbytes: int) -> float:
         if self.is_contiguous(lbn):

@@ -182,28 +182,24 @@ def measure(cfg: ClusterConfig, workload: Workload, warm_runs: int = 0,
     by :func:`set_default_fault_plan`) runs the workload under injected
     faults; the result then carries the fault/recovery telemetry.
 
-    ``cfg.shards > 1`` routes the run through the partitioned-horizon
-    engine (:func:`repro.sim.parallel.run_sharded_workload`); the
-    returned cluster is then ``None`` (each shard's cluster lives and
-    dies in its worker).  Callers that inspect the cluster afterwards
-    pass ``need_cluster=True`` (``trace_disk`` implies it) and get the
-    serial engine with a one-time warning.  Fault plans compose with
-    sharding: the plan is partitioned across per-shard injectors and
-    the merged result carries cluster-wide fault/recovery telemetry.
+    The run goes through :func:`repro.sim.parallel.run_sharded_workload`
+    (the serial engine at ``shards=1``) and returns no cluster.  Callers
+    that inspect the cluster afterwards pass ``need_cluster=True``
+    (``trace_disk`` implies it) and get the serial engine over a
+    cluster they keep, with a one-time warning if ``cfg.shards > 1``.
+    Fault plans compose with sharding: the plan is partitioned across
+    per-shard injectors and the merged result carries cluster-wide
+    fault/recovery telemetry.
     """
     plan = fault_plan if fault_plan is not None else _DEFAULT_FAULT_PLAN
+    if not (trace_disk or need_cluster):
+        from ..sim.parallel import run_sharded_workload
+        result = run_sharded_workload(cfg, workload, warm_runs=warm_runs,
+                                      fault_plan=plan)
+        return result, None
     if cfg.shards > 1:
-        if trace_disk or need_cluster:
-            # The caller needs the finished cluster object (block
-            # tracers, audit runtime, ...); the sharded engine discards
-            # its per-shard clusters, so fall back to the serial engine.
-            _warn_serial_fallback()
-        else:
-            from ..sim.parallel import run_sharded_workload
-            result = run_sharded_workload(cfg, workload,
-                                          warm_runs=warm_runs,
-                                          fault_plan=plan)
-            return result, None
+        # The sharded engine discards its per-shard clusters.
+        _warn_serial_fallback()
     cluster = Cluster(cfg, trace_disk=trace_disk, fault_plan=plan)
     result = run_workload(cluster, workload, warm_runs=warm_runs)
     return result, cluster

@@ -1,8 +1,9 @@
 """Post-recovery health checks: did every fault window actually heal?
 
-:func:`restoration_failures` is the restoration oracle shared by the
-chaos episode runner and the sharded coordinator.  It reads a settled
-cluster — one run past its plan's horizon and drained — and reports
+:func:`restoration_failures` is the restoration oracle both engines
+read per cluster (:meth:`repro.sim.parallel.ClusterRun.health`) for
+the chaos episode verdict.  It reads a settled cluster — one run past
+its plan's horizon and drained — and reports
 every wound the recovery paths failed to close: a server still crashed,
 a block queue still paused, an iBridge manager still in SSD-bypass
 mode, a GC storm still active, or an injector log whose ``begin``

@@ -48,10 +48,14 @@ Determinism: for a fixed ``(seed, shards)`` the partition, the window
 schedule, the per-destination record order (sorted by departure time,
 source shard, sequence number) and every per-shard heap order are all
 deterministic, so sharded runs are exactly repeatable.  ``shards=1``
-short-circuits to the serial :func:`repro.workloads.base.run_workload`
-path and is therefore *bit-identical* to an unsharded run.  Request id
-spaces are partitioned (shard ``k`` draws ids from ``k * 10**9 + 1``)
-so merged request lists never collide.
+runs the serial engine and is therefore *bit-identical* to an
+unsharded run.  Request id spaces are partitioned (shard ``k`` draws
+ids from ``k * 10**9 + 1``) so merged request lists never collide.
+
+Both engines (:class:`SerialEngine`, :class:`ShardedEngine`) run the
+one sequence :func:`_drive` and supply only the pass, the settle and
+the drain; every cluster reports one :meth:`ClusterRun.finalize`
+summary, and :func:`_merge_results` packs every result from them.
 """
 
 from __future__ import annotations
@@ -194,6 +198,141 @@ def _shard_run_cls():
 
 
 # --------------------------------------------------------------------------
+# One cluster's side of the run sequence (both engines)
+# --------------------------------------------------------------------------
+class ClusterRun:
+    """One cluster's side of the run sequence, shared by both engines:
+    measurement reset, timed-pass mark, restoration oracle and the one
+    picklable end-of-run summary (:meth:`finalize`) that
+    :func:`_merge_results` packs every result from."""
+
+    def __init__(self, cluster, workload, shard_id: int = 0) -> None:
+        self.cluster = cluster
+        self.workload = workload
+        self.shard_id = shard_id
+        self._start = 0.0
+        self._base_bytes = (0, 0)
+
+    def setup(self) -> None:
+        self.workload.prepare(self.cluster)
+
+    def reset(self) -> None:
+        """Restore pristine machine state after warm passes; keep the cache.
+
+        A warm pass models a *previous execution* of the program: between
+        real executions only the iBridge SSD cache persists — disk head
+        positions, elevator queues and OS noise sequences do not.  So the
+        reset re-seeds the client jitter streams, parks the device heads,
+        and rebuilds the (quiescent) schedulers, in addition to clearing
+        counters.  Without this, warm runs would perturb timings of
+        workloads iBridge does not even touch (e.g. fully aligned
+        patterns) and bias stock-vs-iBridge comparisons.
+        """
+        from ..block.queue import make_scheduler
+        from ..core.manager import IBridgeStats
+        from ..util.rng import rng_stream
+
+        cluster = self.cluster
+        cluster.requests.clear()
+        for client in cluster._clients.values():
+            client._rng = rng_stream(cluster.config.seed,
+                                     f"client:{client.id}")
+        for server in cluster.servers:
+            if server.is_remote:
+                continue  # sharded build: stubs have no devices to reset
+            for unit in server.disks:
+                unit.hdd.reset_stats()
+                unit.hdd._head = 0
+                unit.queue.scheduler = make_scheduler(
+                    cluster.config.hdd_scheduler)
+                unit.tracer.clear()
+                if unit.ibridge is not None:
+                    unit.ibridge.stats = IBridgeStats()
+            server.ssd.reset_stats()
+            server.ssd.reset_streams()
+            server.ssd_queue.scheduler = make_scheduler(
+                cluster.config.ssd_scheduler)
+
+    def mark_start(self) -> float:
+        """Begin the measured pass: align telemetry, snapshot baselines."""
+        cl = self.cluster
+        if cl.obs is not None and cl.obs.registry is not None:
+            # Align the sample clock with the measured pass so warm-run
+            # drift does not offset the time series.
+            cl.obs.registry.sample(cl.env.now)
+        self._start = cl.env.now
+        # Server byte counters accumulate across warm passes (the reset
+        # deliberately keeps them), so the cross-shard conservation
+        # ledger diffs against baselines taken here.
+        self._base_bytes = self._served_bytes()
+        return self._start
+
+    def _served_bytes(self) -> Tuple[int, int]:
+        """(read, written) bytes accounted by this cluster's own servers."""
+        local = [s.stats for s in self.cluster.servers if not s.is_remote]
+        return (sum(st.bytes_read for st in local),
+                sum(st.bytes_written for st in local))
+
+    def health(self) -> List[str]:
+        """The restoration oracle (meaningful once settled)."""
+        from ..faults.health import restoration_failures
+        return restoration_failures(self.cluster)
+
+    def finalize(self) -> Dict:
+        """Close out the telemetry; return this cluster's summary."""
+        from ..devices.base import Op
+        from ..workloads.base import recovery_snapshot
+        cl = self.cluster
+        stats = cl.ibridge_stats()
+        served = self._served_bytes()
+        asked = {Op.READ: 0, Op.WRITE: 0}
+        for p in cl.requests:
+            if p.complete_time is not None and p.submit_time >= self._start:
+                asked[p.op] += p.nbytes
+        summary: Dict = {
+            "shard": self.shard_id,
+            "makespan": cl.env.now - self._start,
+            "now": cl.env.now,
+            "requests": list(cl.requests),
+            "ibridge": None if stats is None else dict(vars(stats)),
+            "recovery": recovery_snapshot(cl),
+            "audit": None if cl.audit is None else cl.audit.verdict(),
+            # (read, written) over the measured pass: bytes the servers
+            # accounted vs bytes the completed requests asked for.
+            "served": (served[0] - self._base_bytes[0],
+                       served[1] - self._base_bytes[1]),
+            "asked": (asked[Op.READ], asked[Op.WRITE]),
+            "fault_records": (None if cl.faults is None else
+                              [r.to_dict() for r in cl.faults.records]),
+            "obs": None,
+            "timeline": None,
+        }
+        if cl.obs is not None:
+            # Export spans/metrics (when paths are configured) and carry
+            # the headline critical-path numbers.
+            cl.obs.finish_run()
+            if cl.obs.tracer is not None:
+                report = cl.obs.analyze()
+                mags = report.magnifications()
+                # Sum and count, not the mean: only multi-piece requests
+                # have a magnification, so shard means do not combine
+                # by trace count.
+                summary["obs"] = {
+                    "spans": len(cl.obs.tracer.spans),
+                    "traces": report.count,
+                    "mag_sum": sum(mags),
+                    "mag_count": len(mags),
+                }
+            if cl.obs.timeline is not None:
+                summary["timeline"] = {
+                    "rows": len(cl.obs.timeline.rows),
+                    "last": {key: series["last"] for key, series
+                             in cl.obs.timeline_summary().items()},
+                }
+        return summary
+
+
+# --------------------------------------------------------------------------
 # The shard worker: one environment + cluster + window protocol endpoint
 # --------------------------------------------------------------------------
 def _shard_config(cfg, shard_id: int):
@@ -214,39 +353,34 @@ def _shard_config(cfg, shard_id: int):
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
-class ShardWorker:
+class ShardWorker(ClusterRun):
     """Owns one shard: its cluster, its clock, its mailbox endpoint.
 
     Driven by the coordinator through a small RPC surface (`setup`,
     `launch`, `window`, `drain`, `sync`, `reset`, `mark_start`,
-    `finalize`) that works identically in-process (``shard_mode=
-    "inline"``) and across a pipe to a forked worker (``"process"``).
-    Every return value is a plain picklable object.
+    `health`, `finalize`) that works identically in-process
+    (``shard_mode="inline"``) and across a pipe to a forked worker
+    (``"process"``).  Every return value is a plain picklable object.
     """
 
     def __init__(self, cfg, workload_pickle: bytes, shard_id: int,
                  nshards: int, lookahead: float,
                  fault_plan=None) -> None:
+        super().__init__(None, pickle.loads(workload_pickle), shard_id)
         self.cfg = _shard_config(cfg, shard_id)
-        self.workload = pickle.loads(workload_pickle)
-        self.shard_id = shard_id
         self.nshards = nshards
         self.lookahead = lookahead
         self.fault_plan = fault_plan
         self.ctx = ShardContext(shard_id, nshards)
-        self.cluster = None
         self._done = None
-        self._start = 0.0
-        self._base_bytes = (0, 0)
 
     # ------------------------------------------------------------ lifecycle
-    def setup(self) -> int:
+    def setup(self) -> None:
         from ..pfs.cluster import Cluster
         self.cluster = Cluster(self.cfg, shard=self.ctx,
                                fault_plan=self.fault_plan)
         self.ctx.env = self.cluster.env
-        self.workload.prepare(self.cluster)
-        return self.shard_id
+        super().setup()
 
     def launch(self) -> Tuple[float, bool]:
         """Start this shard's ranks; returns (next event time, done?)."""
@@ -358,77 +492,15 @@ class ShardWorker:
                 "ended)")
         return env.now
 
-    def reset(self) -> None:
-        from ..workloads.base import _reset_measurement_state
-        _reset_measurement_state(self.cluster)
-
-    def health(self) -> List[str]:
-        """This shard's restoration oracle (meaningful once settled)."""
-        from ..faults.health import restoration_failures
-        return restoration_failures(self.cluster)
-
+    # mark_start/finalize are defined on this class, not only
+    # inherited, so class-level hooks on ShardWorker's own methods (a
+    # benchmark's pass clock) see sharded runs and never the serial one.
     def mark_start(self) -> float:
-        """Begin the measured pass: align telemetry, snapshot baselines."""
-        cl = self.cluster
-        if cl.obs is not None and cl.obs.registry is not None:
-            cl.obs.registry.sample(cl.env.now)
-        self._start = cl.env.now
-        # Server byte counters accumulate across warm passes (the serial
-        # reset deliberately keeps them), so the cross-shard conservation
-        # ledger diffs against baselines taken here.
-        self._base_bytes = self._served_bytes()
-        return self._start
+        return super().mark_start()
 
-    def _served_bytes(self) -> Tuple[int, int]:
-        """(read, written) bytes accounted by this shard's own servers."""
-        local = [s.stats for s in self.cluster.servers if not s.is_remote]
-        return (sum(st.bytes_read for st in local),
-                sum(st.bytes_written for st in local))
-
-    # ------------------------------------------------------------- results
     def finalize(self) -> Dict:
-        """Close out the run; return this shard's picklable summary."""
-        from ..devices.base import Op
-        from ..workloads.base import recovery_snapshot
-        cl = self.cluster
-        stats = cl.ibridge_stats()
-        served = self._served_bytes()
-        asked = {Op.READ: 0, Op.WRITE: 0}
-        for p in cl.requests:
-            if p.complete_time is not None and p.submit_time >= self._start:
-                asked[p.op] += p.nbytes
-        summary: Dict = {
-            "shard": self.shard_id,
-            "makespan": cl.env.now - self._start,
-            "now": cl.env.now,
-            "requests": list(cl.requests),
-            "timeouts": sum(c.timeouts for c in cl._clients.values()),
-            "ibridge": None if stats is None else dict(vars(stats)),
-            "recovery": recovery_snapshot(cl),
-            "obs": None,
-            "audit": None if cl.audit is None else cl.audit.verdict(),
-            # (read, written) over the measured pass: bytes the servers
-            # accounted vs bytes the completed requests asked for.
-            "served": (served[0] - self._base_bytes[0],
-                       served[1] - self._base_bytes[1]),
-            "asked": (asked[Op.READ], asked[Op.WRITE]),
-        }
-        if cl.faults is not None:
-            summary["fault_records"] = [r.to_dict()
-                                        for r in cl.faults.records]
-        if cl.obs is not None:
-            if cl.obs.timeline is not None:
-                summary["timeline_rows"] = len(cl.obs.timeline.rows)
-            cl.obs.finish_run()
-            if cl.obs.tracer is not None:
-                report = cl.obs.analyze()
-                summary["obs"] = {
-                    "spans": len(cl.obs.tracer.spans),
-                    "traces": report.count,
-                    "mean_magnification": report.mean_magnification,
-                    "unsampled": cl.obs.tracer.unsampled,
-                }
-        cl.shutdown()
+        summary = super().finalize()
+        self.cluster.shutdown()
         return summary
 
 
@@ -639,9 +711,230 @@ def _run_pass(driver, nshards: int, lookahead: float,
     return windows
 
 
+# --------------------------------------------------------------------------
+# Engines: the pass, the settle and the drain
+# --------------------------------------------------------------------------
+#: Simulated seconds between two calls of the serial engine's guard.
+_GUARD_PERIOD = 0.05
+
+
+def _guard_process(env, guard):
+    """The serial engine's guard: a sim process calling ``guard(now,
+    events scheduled since the last call)`` every ``_GUARD_PERIOD``.
+    Its schedule is a pure function of the run, so determinism holds."""
+    seen = 0
+    while True:
+        yield env.timeout(_GUARD_PERIOD)
+        guard(env.now, env._seq - seen)
+        seen = env._seq
+
+
+class SerialEngine(ClusterRun):
+    """The serial engine over an existing cluster that the caller owns
+    (never shut down here): a pass is one MPIRun to completion, and
+    ``guard`` runs as a sim process (:func:`_guard_process`)."""
+
+    profile = None
+
+    def __init__(self, cluster, workload, guard=None) -> None:
+        super().__init__(cluster, workload)
+        self.cfg = cluster.config
+        if guard is not None:
+            cluster.env.process(_guard_process(cluster.env, guard),
+                                name="budget-guard")
+
+    def call_all(self, method: str) -> List:
+        return [getattr(self, method)()]
+
+    def run_pass(self, timed: bool = False) -> int:
+        from ..mpi.runtime import MPIRun
+        wl = self.workload
+        MPIRun(self.cluster, wl.nprocs, client_nodes=wl.client_nodes
+               ).run_to_completion(wl.body)
+        return 0
+
+    def settle(self, t: float) -> int:
+        if self.cluster.env.now < t:
+            self.cluster.env.run(until=t)
+        return 0
+
+    def drain(self) -> None:
+        self.cluster.drain()
+
+    def close(self) -> None:
+        pass
+
+
+class ShardedEngine:
+    """``cfg.shards`` shard workers behind an inline or forked
+    driver, advanced by :func:`_run_pass`: ``guard(t_end, events)`` runs
+    at the coordinator after every window, and the timed pass is
+    profiled into :attr:`profile` (``result.extra["shard_profile"]``)."""
+
+    def __init__(self, cfg, workload, fault_plan=None, guard=None) -> None:
+        self.cfg, self.workload, self.guard = cfg, workload, guard
+        self.nshards = cfg.shards
+        self.lookahead = (cfg.shard_lookahead
+                          if cfg.shard_lookahead is not None
+                          else cfg.network.latency)
+        self.profile: Dict[str, Any] = {
+            "nshards": self.nshards, "lookahead": self.lookahead,
+            "windows": []}
+        wire = pickle.dumps(workload)
+        specs = [{"cfg": cfg, "workload_pickle": wire, "shard_id": k,
+                  "nshards": self.nshards, "lookahead": self.lookahead,
+                  "fault_plan": fault_plan}
+                 for k in range(self.nshards)]
+        self.driver = (_InlineDriver if cfg.shard_mode == "inline"
+                       else _ProcessDriver)(specs)
+        self.call_all = self.driver.call_all
+        self.close = self.driver.close
+
+    def run_pass(self, timed: bool = False) -> int:
+        return _run_pass(self.driver, self.nshards, self.lookahead,
+                         profile=self.profile["windows"] if timed else None,
+                         guard=self.guard)
+
+    def settle(self, t: float) -> int:
+        windows = _run_pass(self.driver, self.nshards, self.lookahead,
+                            until=t, guard=self.guard)
+        self._sync(t)
+        return windows
+
+    def drain(self) -> None:
+        """Drain every shard, then sync the clocks at the slowest one."""
+        self._sync(max(self.call_all("drain")))
+
+    def _sync(self, t: float) -> None:
+        self.call_all("sync", [(t,)] * self.nshards)
+
+
+def _engine(cfg, workload, fault_plan=None, guard=None):
+    """The engine ``cfg.shards`` selects, over a fresh cluster."""
+    if cfg.shards <= 1:
+        from ..pfs.cluster import Cluster
+        return SerialEngine(Cluster(cfg, fault_plan=fault_plan), workload,
+                            guard=guard)
+    return ShardedEngine(cfg, workload, fault_plan=fault_plan, guard=guard)
+
+
+# --------------------------------------------------------------------------
+# The one run sequence
+# --------------------------------------------------------------------------
+def _drive(engine, warm_runs: int, reset_after_warm: bool, drain: bool,
+           settle_until: Optional[float] = None,
+           episode: bool = False) -> Dict[str, Any]:
+    """The run sequence of every engine: setup, warm passes, reset,
+    ``mark_start``, the timed pass, finalize, close.  With ``drain``
+    every pass ends with the engine's drain — writeback after the
+    program ends is part of the measured time.
+
+    ``episode`` is the chaos shape: a ReproError from the passes is
+    returned instead of raised, the engine settles past
+    ``settle_until`` and drains once more (not after a budget abort,
+    which leaves the run torn), the restoration oracle is read only if
+    that settle finished, and the clusters are always finalized.
+    """
+    from ..errors import EpisodeBudgetError, ReproError
+
+    def one_pass(timed: bool = False) -> int:
+        windows = engine.run_pass(timed)
+        if drain:
+            engine.drain()
+        return windows
+
+    out: Dict[str, Any] = {"error": None, "settled": False,
+                           "restoration": [], "windows": 0}
+    try:
+        engine.call_all("setup")
+        try:
+            for _ in range(max(0, warm_runs)):
+                out["windows"] += one_pass()
+            if warm_runs and reset_after_warm:
+                engine.call_all("reset")
+            engine.call_all("mark_start")
+            out["windows"] += one_pass(timed=True)
+        except ReproError as exc:
+            if not episode:
+                raise
+            out["error"] = exc
+        if episode and not isinstance(out["error"], EpisodeBudgetError):
+            try:
+                if settle_until is not None:
+                    out["windows"] += engine.settle(settle_until)
+                engine.drain()
+                out["settled"] = True
+            except ReproError as exc:
+                out["error"] = out["error"] or exc
+        if out["settled"]:
+            for failures in engine.call_all("health"):
+                out["restoration"].extend(failures)
+        out["summaries"] = engine.call_all("finalize")
+    finally:
+        engine.close()
+    return out
+
+
+def run_engine(engine, warm_runs: int = 0, drain: bool = True,
+               reset_after_warm: bool = True):
+    """Run ``engine``'s workload through :func:`_drive` and pack the
+    :class:`~repro.analysis.metrics.RunResult`."""
+    out = _drive(engine, warm_runs, reset_after_warm, drain)
+    return _merge_results(engine.cfg, engine.workload, out["summaries"],
+                          engine.profile)
+
+
+def run_sharded_workload(cfg, workload, warm_runs: int = 0,
+                         drain: bool = True,
+                         reset_after_warm: bool = True,
+                         fault_plan=None):
+    """Run ``workload`` on a fresh cluster partitioned into ``cfg.shards``.
+
+    Same pass structure as :func:`repro.workloads.base.run_workload`,
+    with the result merged across shards (see :func:`_merge_results`):
+    requests concatenated (canonically sorted), makespan = the slowest
+    shard's, iBridge/obs counters summed, and the merged audit verdict
+    (plus the cross-shard byte-conservation check) on
+    ``result.audit_verdict``.  ``shards=1`` runs the serial engine and
+    is bit-identical to :func:`~repro.workloads.base.run_workload`.
+
+    ``fault_plan`` installs the plan *partitioned* across the shard
+    injectors (see ``repro.faults.partition_events``); the merged
+    result carries the coordinator-sorted transition log on
+    ``result.fault_events`` (each record tagged with its driving shard)
+    and the key-wise sum of the per-shard recovery snapshots on
+    ``result.recovery``.
+    """
+    cfg.validate()
+    return run_engine(_engine(cfg, workload, fault_plan), warm_runs,
+                      drain, reset_after_warm)
+
+
+def run_sharded_episode(cfg, workload, fault_plan=None,
+                        settle_until: Optional[float] = None,
+                        warm_runs: int = 0, guard=None) -> Dict:
+    """Chaos-shaped run on either engine: passes, settle past the
+    horizon, drain.
+
+    Never raises for in-simulation failures (see :func:`_drive`).
+    Returns ``summaries`` (per-cluster summaries), ``error`` (the first
+    caught exception or ``None``), ``settled``, ``restoration``
+    (oracle findings, shard by shard) and ``windows`` (all passes +
+    settle; 0 on the serial engine).  ``guard(now, events)`` is called
+    with the simulated time and the engine events scheduled since its
+    previous call, and raises to abort.
+    """
+    cfg.validate()
+    return _drive(_engine(cfg, workload, fault_plan, guard), warm_runs,
+                  True, True, settle_until=settle_until, episode=True)
+
+
+# --------------------------------------------------------------------------
+# The one result packer
+# --------------------------------------------------------------------------
 def merge_audit(summaries: List[Dict]) -> Optional[Dict]:
-    """Combine per-shard audit verdicts into one cluster-wide verdict
-    (``None`` when no shard was audited)."""
+    """Combine per-cluster audit verdicts into one verdict (``None``
+    when nothing was audited).  One verdict merges to an equal copy."""
     verdicts = [s["audit"] for s in summaries if s["audit"] is not None]
     if not verdicts:
         return None
@@ -656,135 +949,11 @@ def merge_audit(summaries: List[Dict]) -> Optional[Dict]:
     }
 
 
-def _drive(cfg, workload, fault_plan, warm_runs: int,
-           reset_after_warm: bool, drain: bool, guard=None,
-           settle_until: Optional[float] = None,
-           episode: bool = False) -> Dict[str, Any]:
-    """The one sharded run sequence: open the driver, set the shards
-    up, warm passes, reset, ``mark_start``, timed pass (profiled),
-    finalize, close.  With ``drain`` every pass ends with a drain and a
-    clock sync at the slowest shard's time.
-
-    ``episode`` is the chaos shape: a ReproError from the passes is
-    returned instead of raised, the clocks settle past ``settle_until``
-    and drain once more (not after a budget abort, which leaves the run
-    torn), the restoration oracle is read only if that settle finished,
-    and the shards are always finalized.
-    """
-    from ..errors import EpisodeBudgetError, ReproError
-    nshards = cfg.shards
-    lookahead = (cfg.shard_lookahead if cfg.shard_lookahead is not None
-                 else cfg.network.latency)
-    wire = pickle.dumps(workload)
-    specs = [{"cfg": cfg, "workload_pickle": wire, "shard_id": k,
-              "nshards": nshards, "lookahead": lookahead,
-              "fault_plan": fault_plan}
-             for k in range(nshards)]
-
-    def drain_and_sync():
-        t_sync = max(driver.call_all("drain"))
-        driver.call_all("sync", [(t_sync,)] * nshards)
-
-    def one_pass(profile=None):
-        windows = _run_pass(driver, nshards, lookahead, profile=profile,
-                            guard=guard)
-        if drain:
-            drain_and_sync()
-        return windows
-
-    out: Dict[str, Any] = {
-        "error": None, "settled": False, "restoration": [], "windows": 0,
-        "profile": {"nshards": nshards, "lookahead": lookahead,
-                    "windows": []}}
-    driver = (_InlineDriver if cfg.shard_mode == "inline"
-              else _ProcessDriver)(specs)
-    try:
-        driver.call_all("setup")
-        try:
-            for _ in range(max(0, warm_runs)):
-                out["windows"] += one_pass()
-            if warm_runs and reset_after_warm:
-                driver.call_all("reset")
-            driver.call_all("mark_start")
-            out["windows"] += one_pass(out["profile"]["windows"])
-        except ReproError as exc:
-            if not episode:
-                raise
-            out["error"] = exc
-        if episode and not isinstance(out["error"], EpisodeBudgetError):
-            try:
-                if settle_until is not None:
-                    out["windows"] += _run_pass(driver, nshards, lookahead,
-                                                until=settle_until,
-                                                guard=guard)
-                    driver.call_all("sync", [(settle_until,)] * nshards)
-                drain_and_sync()
-                out["settled"] = True
-            except ReproError as exc:
-                out["error"] = out["error"] or exc
-        if out["settled"]:
-            for failures in driver.call_all("health"):
-                out["restoration"].extend(failures)
-        out["summaries"] = driver.call_all("finalize")
-    finally:
-        driver.close()
-    return out
-
-
-def run_sharded_workload(cfg, workload, warm_runs: int = 0,
-                         drain: bool = True,
-                         reset_after_warm: bool = True,
-                         fault_plan=None):
-    """Run ``workload`` on a cluster partitioned into ``cfg.shards``.
-
-    The sharded analog of :func:`repro.workloads.base.run_workload`
-    (same pass structure) with a merged
-    :class:`~repro.analysis.metrics.RunResult`:
-    requests concatenated across shards (canonically sorted), makespan
-    = the slowest shard's, iBridge/obs counters summed, and the merged
-    audit verdict (plus the cross-shard byte-conservation check) on
-    ``result.audit_verdict``.  ``shards=1`` routes through the serial
-    engine unchanged and is bit-identical to it.
-
-    ``fault_plan`` installs the plan *partitioned* across the shard
-    injectors (see ``repro.faults.partition_events``); the merged
-    result carries the coordinator-sorted transition log on
-    ``result.fault_events`` (each record tagged with its driving shard)
-    and the key-wise sum of the per-shard recovery snapshots on
-    ``result.recovery``.
-    """
-    cfg.validate()
-    if cfg.shards <= 1:
-        from ..pfs.cluster import Cluster
-        from ..workloads.base import run_workload
-        cluster = Cluster(cfg, fault_plan=fault_plan)
-        return run_workload(cluster, workload, drain=drain,
-                            warm_runs=warm_runs,
-                            reset_after_warm=reset_after_warm)
-    out = _drive(cfg, workload, fault_plan, warm_runs, reset_after_warm,
-                 drain)
-    return _merge_results(cfg, workload, out["summaries"], out["profile"])
-
-
-def run_sharded_episode(cfg, workload, fault_plan=None,
-                        settle_until: Optional[float] = None,
-                        warm_runs: int = 0, guard=None) -> Dict:
-    """Chaos-shaped sharded run: passes, settle past the horizon, drain.
-
-    Never raises for in-simulation failures (see :func:`_drive`).
-    Returns ``summaries`` (per-shard finalize payloads), ``error`` (the
-    first caught exception or ``None``), ``settled``, ``restoration``
-    (per-shard oracle findings) and ``windows`` (all passes + settle).
-    """
-    cfg.validate()
-    return _drive(cfg, workload, fault_plan, warm_runs, True, True,
-                  guard=guard, settle_until=settle_until, episode=True)
-
-
 def merge_fault_records(summaries: List[Dict]) -> List[Dict]:
-    """One cluster-wide fault transition log from per-shard injectors.
+    """One cluster-wide fault transition log.
 
-    Records are tagged with the shard that drove them and sorted on
+    A single summary's log is returned as its injector recorded it.
+    Shard logs are tagged with the shard that drove them and sorted on
     ``(time, plan index, begin-before-end, shard)`` — the serial
     injector's chronological/plan order, so a targeted-only plan's
     merged log equals the serial log modulo the ``shard`` tags.
@@ -792,9 +961,11 @@ def merge_fault_records(summaries: List[Dict]) -> List[Dict]:
     appear once per shard: each shard applied the window to its own
     fabric view, and the merged log says so.
     """
+    if len(summaries) == 1:
+        return list(summaries[0]["fault_records"] or ())
     events: List[Dict] = []
     for s in summaries:
-        for rec in s.get("fault_records") or ():
+        for rec in s["fault_records"] or ():
             events.append(dict(rec, shard=s["shard"]))
     events.sort(key=lambda r: (r["time"], r["index"],
                                0 if r["phase"] == "begin" else 1,
@@ -803,7 +974,7 @@ def merge_fault_records(summaries: List[Dict]) -> List[Dict]:
 
 
 def merge_recovery(summaries: List[Dict]) -> Dict[str, float]:
-    """Key-wise sum of per-shard recovery snapshots.
+    """Key-wise sum of per-cluster recovery snapshots.
 
     Every counter in :func:`repro.workloads.base.recovery_snapshot` is
     a sum over disjoint per-shard populations (local clients, local
@@ -811,18 +982,24 @@ def merge_recovery(summaries: List[Dict]) -> Dict[str, float]:
     """
     merged: Dict[str, float] = {}
     for s in summaries:
-        for key, value in (s.get("recovery") or {}).items():
-            merged[key] = merged.get(key, 0.0) + value
+        for key, value in s["recovery"].items():
+            merged[key] = merged[key] + value if key in merged else value
     return merged
 
 
 def _merge_results(cfg, workload, summaries: List[Dict],
-                   profile: Dict[str, Any]):
+                   profile: Optional[Dict[str, Any]] = None):
+    """Pack a run's :class:`~repro.analysis.metrics.RunResult` from its
+    per-cluster summaries.  One summary (the serial engine) packs what
+    its cluster measured; shard summaries merge, and only they add the
+    shard extras and the merged audit verdict with the cross-shard
+    conservation ledger."""
     from ..analysis.metrics import RunResult
 
-    requests = sorted(
-        (r for s in summaries for r in s["requests"]),
-        key=lambda r: (
+    sharded = len(summaries) > 1
+    requests = [r for s in summaries for r in s["requests"]]
+    if sharded:
+        requests.sort(key=lambda r: (
             r.complete_time if r.complete_time is not None else _INF,
             r.submit_time if r.submit_time is not None else _INF,
             r.rank, r.offset, r.id))
@@ -845,20 +1022,33 @@ def _merge_results(cfg, workload, summaries: List[Dict],
     )
     obs_parts = [s["obs"] for s in summaries if s["obs"] is not None]
     if obs_parts:
-        traces = sum(o["traces"] for o in obs_parts)
+        mag_count = sum(o["mag_count"] for o in obs_parts)
         result.extra["obs_spans"] = float(sum(o["spans"] for o in obs_parts))
-        result.extra["obs_traces"] = float(traces)
+        result.extra["obs_traces"] = float(
+            sum(o["traces"] for o in obs_parts))
         result.extra["obs_mean_magnification"] = (
-            sum(o["mean_magnification"] * o["traces"] for o in obs_parts)
-            / traces if traces else 0.0)
-    result.extra["shards"] = float(len(summaries))
-    result.extra["shard_windows"] = float(len(profile["windows"]))
-    if any(s.get("fault_records") is not None for s in summaries):
+            sum(o["mag_sum"] for o in obs_parts) / mag_count
+            if mag_count else 0.0)
+    timelines = [s["timeline"] for s in summaries
+                 if s["timeline"] is not None]
+    if timelines:
+        result.extra["timeline_rows"] = float(
+            sum(t["rows"] for t in timelines))
+        # Flat last-value gauges so downstream consumers (the svc
+        # worker result payload, the run report) need no timeline
+        # object.  Every gauge is labelled by a server or client that
+        # exactly one shard owns, so the union over shards is exact.
+        for t in timelines:
+            for key, last in t["last"].items():
+                result.extra[f"timeline_last[{key}]"] = last
+    if any(s["fault_records"] is not None for s in summaries):
         result.fault_events = merge_fault_records(summaries)
         result.recovery = merge_recovery(summaries)
-    timeline_rows = sum(s.get("timeline_rows") or 0 for s in summaries)
-    if timeline_rows:
-        result.extra["timeline_rows"] = float(timeline_rows)
+    if not sharded:
+        return result
+
+    result.extra["shards"] = float(len(summaries))
+    result.extra["shard_windows"] = float(len(profile["windows"]))
     # Wall-clock telemetry, deliberately excluded from run_digest (the
     # digest hashes only numeric extras): the same simulated run
     # profiles differently on every host.
@@ -870,7 +1060,7 @@ def _merge_results(cfg, workload, summaries: List[Dict],
     # at-least-once servings), the bytes the servers accounted during
     # the measured pass must equal the bytes the completed application
     # requests asked for — the one ledger no single shard can check.
-    timeouts = sum(s["timeouts"] for s in summaries)
+    timeouts = sum(s["recovery"]["timeouts"] for s in summaries)
     conserved = True
     if timeouts == 0:
         served = [sum(s["served"][i] for s in summaries) for i in (0, 1)]

@@ -76,7 +76,7 @@ def timeline_last_values(value: Any) -> Dict[str, float]:
     """Extract a result's timeline last-value gauges (``{series: v}``).
 
     Timeline-enabled runs attach flat ``timeline_last[<series>]`` float
-    extras to their results (see :func:`repro.workloads.base.run_workload`);
+    extras to their results (see :func:`repro.sim.parallel._merge_results`);
     workers ship them with ``complete`` so the service's ``/metrics``
     can expose the fleet's last-seen series values without ever
     unpickling a result.  Returns ``{}`` for results without extras.

@@ -1,11 +1,14 @@
-"""Workload abstraction and the run harness.
+"""Workload abstraction and the serial run entry point.
 
 A workload knows how many ranks it needs, how to prepare files on a
-cluster, and supplies the per-rank body generator.  The harness wires
-it to an :class:`MPIRun`, optionally performs untimed warm runs (the
-paper's read-side benefit comes from fragments cached in prior runs of
-the same program), runs the measured pass, drains dirty data (the
-paper's methodology charges writeback to the program), and packages a
+cluster, and supplies the per-rank body generator.
+:func:`run_workload` runs one on an existing cluster through the run
+sequence every engine shares (:func:`repro.sim.parallel._drive`):
+optional untimed warm runs (the paper's read-side benefit comes from
+fragments cached in prior runs of the same program), the measured pass,
+the drain of dirty data (the paper's methodology charges writeback to
+the program), and the one result packer
+(:func:`repro.sim.parallel._merge_results`) building the
 :class:`RunResult`.
 """
 
@@ -15,8 +18,9 @@ import abc
 from typing import Optional
 
 from ..analysis.metrics import RunResult
-from ..mpi.runtime import MPIRun, RankContext
+from ..mpi.runtime import RankContext
 from ..pfs.cluster import Cluster
+from ..sim.parallel import SerialEngine, run_engine
 
 
 class Workload(abc.ABC):
@@ -48,74 +52,26 @@ class Workload(abc.ABC):
 
 def run_workload(cluster: Cluster, workload: Workload, drain: bool = True,
                  warm_runs: int = 0, reset_after_warm: bool = True) -> RunResult:
-    """Run ``workload`` on ``cluster`` and collect metrics.
+    """Run ``workload`` on ``cluster`` (serial engine) and collect metrics.
 
     ``warm_runs`` untimed passes precede the measurement; they populate
     iBridge's SSD cache exactly the way earlier executions of the same
     program would.  Statistics and tracers are reset before the timed
-    pass when ``reset_after_warm`` is set.
+    pass when ``reset_after_warm`` is set.  The cluster is left running
+    (not shut down), so callers can inspect it afterwards.
     """
-    workload.prepare(cluster)
-
-    def one_pass():
-        run = MPIRun(cluster, workload.nprocs, client_nodes=workload.client_nodes)
-        run.run_to_completion(workload.body)
-        if drain:
-            cluster.drain()
-
-    for _ in range(max(0, warm_runs)):
-        one_pass()
-
-    if warm_runs and reset_after_warm:
-        _reset_measurement_state(cluster)
-
-    if cluster.obs is not None and cluster.obs.registry is not None:
-        # Align the sample clock with the measured pass so warm-run
-        # drift does not offset the time series.
-        cluster.obs.registry.sample(cluster.env.now)
-
-    start = cluster.env.now
-    one_pass()
-    makespan = cluster.env.now - start
-
-    stats = cluster.ibridge_stats()
-    result = RunResult(
-        name=workload.name,
-        makespan=makespan,
-        total_bytes=workload.total_bytes,
-        requests=list(cluster.requests),
-        ssd_fraction=stats.ssd_fraction if stats else 0.0,
-    )
-    if cluster.obs is not None:
-        # Export spans/metrics (when paths are configured) and carry the
-        # headline critical-path numbers on the result.
-        cluster.obs.finish_run()
-        if cluster.obs.tracer is not None:
-            report = cluster.obs.analyze()
-            result.extra["obs_spans"] = float(len(cluster.obs.tracer.spans))
-            result.extra["obs_traces"] = float(report.count)
-            result.extra["obs_mean_magnification"] = report.mean_magnification
-        if cluster.obs.timeline is not None:
-            result.extra["timeline_rows"] = float(
-                len(cluster.obs.timeline.rows))
-            # Flat last-value gauges so downstream consumers (the svc
-            # worker result payload, the run report) need no timeline
-            # object — just the float extras every transport carries.
-            for key, stats in cluster.obs.timeline_summary().items():
-                result.extra[f"timeline_last[{key}]"] = stats["last"]
-    if cluster.faults is not None:
-        result.fault_events = [r.to_dict() for r in cluster.faults.records]
-        result.recovery = recovery_snapshot(cluster)
-    return result
+    return run_engine(SerialEngine(cluster, workload), warm_runs, drain,
+                      reset_after_warm)
 
 
 def recovery_snapshot(cluster: Cluster) -> dict:
     """Current recovery telemetry of a cluster as a flat dict.
 
-    Shared by :func:`run_workload` (which attaches it to
-    ``RunResult.recovery``) and the chaos episode runner (which needs
-    the same counters even when a run *aborted* — e.g. retry exhaustion
-    raising out of the rank bodies — and no ``RunResult`` exists).
+    Part of every cluster's run summary
+    (:meth:`repro.sim.parallel.ClusterRun.finalize`), so it is on
+    ``RunResult.recovery`` of faulted runs and in the chaos episode
+    verdict even when a run *aborted* — e.g. retry exhaustion raising
+    out of the rank bodies — and no ``RunResult`` exists.
     """
     stats = cluster.ibridge_stats()
     clients = list(cluster._clients.values())
@@ -132,37 +88,3 @@ def recovery_snapshot(cluster: Cluster) -> dict:
         "forfeited_bytes": float(stats.forfeited_bytes if stats else 0),
         "ssd_outages": float(stats.ssd_outages if stats else 0),
     }
-
-
-def _reset_measurement_state(cluster: Cluster) -> None:
-    """Restore pristine machine state after warm passes; keep the cache.
-
-    A warm pass models a *previous execution* of the program: between
-    real executions only the iBridge SSD cache persists — disk head
-    positions, elevator queues and OS noise sequences do not.  So the
-    reset re-seeds the client jitter streams, parks the device heads,
-    and rebuilds the (quiescent) schedulers, in addition to clearing
-    counters.  Without this, warm runs would perturb timings of
-    workloads iBridge does not even touch (e.g. fully aligned patterns)
-    and bias stock-vs-iBridge comparisons.
-    """
-    from ..block.queue import make_scheduler
-    from ..core.manager import IBridgeStats
-    from ..util.rng import rng_stream
-
-    cluster.requests.clear()
-    for client in cluster._clients.values():
-        client._rng = rng_stream(cluster.config.seed, f"client:{client.id}")
-    for server in cluster.servers:
-        if getattr(server, "is_remote", False):
-            continue  # sharded build: stubs have no devices to reset
-        for unit in server.disks:
-            unit.hdd.reset_stats()
-            unit.hdd._head = 0
-            unit.queue.scheduler = make_scheduler(cluster.config.hdd_scheduler)
-            unit.tracer.clear()
-            if unit.ibridge is not None:
-                unit.ibridge.stats = IBridgeStats()
-        server.ssd.reset_stats()
-        server.ssd.reset_streams()
-        server.ssd_queue.scheduler = make_scheduler(cluster.config.ssd_scheduler)

@@ -53,6 +53,24 @@ def test_noop_front_merge():
     assert d.lbn == 4 * KiB and d.nbytes == 8 * KiB
 
 
+def test_noop_merge_sweeps_again_after_a_merge():
+    # c only becomes contiguous once b has back-merged, which takes a
+    # second sweep over the queue; z front-merges in the first.
+    # Members record the merge order.
+    env = Environment()
+    sched = NoopScheduler(SchedulerConfig(kind="noop"))
+    a = mkreq(env, lbn=4 * KiB)
+    c = mkreq(env, lbn=12 * KiB)
+    z = mkreq(env, lbn=0)
+    b = mkreq(env, lbn=8 * KiB)
+    for r in (a, c, z, b):
+        sched.add(r)
+    d, _ = sched.select(0.0)
+    assert d.members == [a, z, b, c]
+    assert d.lbn == 0 and d.nbytes == 16 * KiB
+    assert sched.empty
+
+
 def test_noop_does_not_merge_across_ops():
     env = Environment()
     sched = NoopScheduler(SchedulerConfig(kind="noop"))

@@ -64,8 +64,6 @@ def test_ibridge_validation():
     with pytest.raises(ConfigError):
         IBridgeConfig(report_period=0).validate()
     with pytest.raises(ConfigError):
-        IBridgeConfig(ewma_old_weight=0.5, ewma_new_weight=0.6).validate()
-    with pytest.raises(ConfigError):
         IBridgeConfig(dynamic_partition=False,
                       static_split=(0.7, 0.7)).validate()
     IBridgeConfig(dynamic_partition=False, static_split=(0.3, 0.7)).validate()

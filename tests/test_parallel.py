@@ -30,8 +30,9 @@ from repro.experiments import common as exp_common
 from repro.experiments.common import measure, warn_if_oversubscribed
 from repro.faults import FaultPlan, fail_slow
 from repro.pfs.cluster import Cluster
-from repro.sim.parallel import (analyze_shard_profile, format_shard_profile,
-                                run_digest, run_sharded_workload)
+from repro.sim.parallel import (_merge_results, analyze_shard_profile,
+                                format_shard_profile, run_digest,
+                                run_sharded_workload)
 from repro.units import KiB, MiB
 from repro.workloads.base import run_workload
 from repro.workloads.mpi_io_test import MpiIoTest
@@ -263,6 +264,54 @@ def test_measure_threads_fault_plans_to_the_sharded_engine():
     assert result.extra["shards"] == 2.0
     assert len(result.fault_events) == 4
     assert result.recovery["timeouts"] == 0.0
+
+
+# ------------------------------------------------------ one result packer
+def _obs_summary(shard: int, traces: int, mags) -> dict:
+    """A hand-built per-cluster summary whose only telemetry is obs."""
+    return {"shard": shard, "makespan": 1.0, "now": 1.0, "requests": [],
+            "ibridge": None, "recovery": {"timeouts": 0.0}, "audit": None,
+            "served": (0, 0), "asked": (0, 0), "fault_records": None,
+            "obs": {"spans": traces, "traces": traces,
+                    "mag_sum": sum(mags), "mag_count": len(mags)},
+            "timeline": None}
+
+
+def test_merged_mean_magnification_averages_magnified_requests():
+    # Shard A: 10 traces, one multi-piece request magnified 2x; shard
+    # B: 1 trace magnified 4x.  The mean over magnified requests is 3;
+    # weighting shard means by trace count would give 24/11 ~ 2.18.
+    profile = {"nshards": 2, "lookahead": 1e-5, "windows": []}
+    merged = _merge_results(
+        _cfg(shards=2), _workload(),
+        [_obs_summary(0, 10, [2.0]), _obs_summary(1, 1, [4.0])], profile)
+    assert merged.extra["obs_mean_magnification"] == 3.0
+    assert merged.extra["obs_traces"] == 11.0
+    single = _merge_results(_cfg(), _workload(),
+                            [_obs_summary(0, 5, [2.0, 1.5, 1.25])])
+    assert single.extra["obs_mean_magnification"] == (2.0 + 1.5 + 1.25) / 3
+    assert "shards" not in single.extra
+
+
+def test_serial_mean_magnification_is_the_run_report_mean():
+    cluster = Cluster(_cfg().with_obs(trace=True, metrics=False))
+    result = run_workload(cluster, _workload())
+    mean = cluster.obs.analyze().mean_magnification
+    assert mean > 1.0  # 65 KiB requests on 64 KiB stripes are magnified
+    assert result.extra["obs_mean_magnification"] == mean
+
+
+def test_sharded_timeline_last_keys_match_serial():
+    cfg = _cfg().with_obs(timeline_dt=0.002)
+    serial = run_workload(Cluster(cfg), _workload())
+    sharded = run_sharded_workload(
+        cfg.with_shards(2, shard_mode="inline"), _workload())
+
+    def last_keys(result):
+        return {k for k in result.extra if k.startswith("timeline_last[")}
+
+    assert last_keys(serial)
+    assert last_keys(sharded) == last_keys(serial)
 
 
 # ------------------------------------------------ unsupported features

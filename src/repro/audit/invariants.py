@@ -10,8 +10,10 @@ instead of silently skewing experiment results.
 Invariants checked (see docs/AUDITING.md for the full catalogue):
 
 * **Dirty ledger** — redirected payload minus written-back minus
-  superseded payload equals ``MappingTable.dirty_bytes`` at every
-  synchronous point.
+  superseded payload equals the dirty bytes recounted over the mapping
+  table at every synchronous point.
+* **Dirty counter** — ``MappingTable.dirty_bytes``, the table's running
+  O(1) count, equals that recount.
 * **Read conservation** — every read serves exactly the requested
   payload bytes: SSD piece bytes + disk gap payload == request size,
   measured from the manager's *reported stats* (so stats inflation,
@@ -121,9 +123,12 @@ class ManagerAuditor:
         self._check_coherence(event)
 
     def _check_dirty_ledger(self, event: str) -> None:
+        mapping = self.manager.mapping
         ledger = (self.ssd_redirect_bytes - self.writeback_bytes
                   - self.superseded_bytes - self.forfeited_bytes)
-        actual = self.manager.mapping.dirty_bytes
+        # An independent O(n) recount, so the ledger check does not
+        # lean on the table's running counter (checked next).
+        actual = sum(e.nbytes for e in mapping.entries if e.dirty)
         if ledger != actual:
             self._fail(
                 "dirty-ledger",
@@ -133,6 +138,13 @@ class ManagerAuditor:
                 f" - superseded {self.superseded_bytes}"
                 f" - forfeited {self.forfeited_bytes}), mapping table "
                 f"holds {actual}", event=event, ledger=ledger, actual=actual)
+        counter = mapping.dirty_bytes
+        if counter != actual:
+            self._fail(
+                "dirty-counter",
+                f"after {event or 'mutation'}: mapping table's dirty-byte "
+                f"counter says {counter}, its entries hold {actual}",
+                event=event, counter=counter, actual=actual)
 
     def _check_coherence(self, event: str) -> None:
         mgr = self.manager

@@ -471,7 +471,7 @@ class IBridgeManager:
         entry.busy = False
         if entry.forfeited:
             return
-        entry.dirty = False
+        self.mapping.mark_clean(entry)
         self.stats.writeback_bytes += entry.nbytes
         if self.audit:
             self.audit.note_writeback(entry.nbytes)
@@ -501,9 +501,8 @@ class IBridgeManager:
             dirty_victims = [v for v in victims if v.dirty]
             if dirty_victims:
                 yield from self._flush_batch(dirty_victims)
-            live = {e.id for e in self.mapping.entries}
             for victim in victims:
-                if victim.id in live:
+                if victim in self.mapping:
                     self._drop_entry(victim)
         return self.partition.fits(kind, nbytes)
 
@@ -632,7 +631,7 @@ class IBridgeManager:
                 # Forfeited mid-flight by an SSD fail-stop: the bytes
                 # were already accounted as lost, not written back.
                 continue
-            entry.dirty = False
+            self.mapping.mark_clean(entry)
             self.stats.writeback_bytes += entry.nbytes
             if self.audit:
                 self.audit.note_writeback(entry.nbytes)
@@ -736,7 +735,7 @@ class IBridgeManager:
             entry.forfeited = True
             if entry.dirty:
                 forfeited += entry.nbytes
-                entry.dirty = False
+                self.mapping.mark_clean(entry)
             self.mapping.remove(entry)
             self.partition.drop(entry)
             self._log.invalidate(entry.ssd_lbn)

@@ -57,14 +57,26 @@ class CacheEntry:
 
 
 class MappingTable:
-    """Per-handle interval maps of :class:`CacheEntry`."""
+    """Per-handle interval maps of :class:`CacheEntry`.
+
+    The table keeps a running count of its dirty bytes so the writeback
+    daemon's poll is O(1).  The count stays exact because every change
+    to it goes through the table: :meth:`insert` and :meth:`remove`
+    adjust it by the entry's dirty bytes, and :meth:`mark_clean` is the
+    only dirty-to-clean transition of a live entry (nothing outside
+    this module assigns ``CacheEntry.dirty``).
+    """
 
     def __init__(self) -> None:
         self._maps: Dict[int, IntervalMap] = {}
         self._entries: Dict[int, CacheEntry] = {}
+        self._dirty_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, entry: CacheEntry) -> bool:
+        return self._entries.get(entry.id) is entry
 
     @property
     def entries(self) -> Tuple[CacheEntry, ...]:
@@ -84,6 +96,8 @@ class MappingTable:
             raise StorageError("insert over existing cached range")
         m.set(entry.start, entry.end, entry)
         self._entries[entry.id] = entry
+        if entry.dirty:
+            self._dirty_bytes += entry.nbytes
 
     def remove(self, entry: CacheEntry) -> None:
         """Drop ``entry`` from the table."""
@@ -91,6 +105,20 @@ class MappingTable:
             raise StorageError(f"remove of unknown entry {entry.id}")
         self._map(entry.handle).delete(entry.start, entry.end)
         del self._entries[entry.id]
+        if entry.dirty:
+            self._dirty_bytes -= entry.nbytes
+
+    def mark_clean(self, entry: CacheEntry) -> None:
+        """Record that ``entry``'s bytes reached the disk (or were lost).
+
+        An entry dropped while its writeback was in flight left the
+        count when it was removed, so it is not subtracted again.
+        """
+        if not entry.dirty:
+            return
+        entry.dirty = False
+        if entry in self:
+            self._dirty_bytes -= entry.nbytes
 
     def overlapping(self, handle: int, start: int, end: int) -> List[CacheEntry]:
         """Distinct entries overlapping ``[start, end)``."""
@@ -129,4 +157,4 @@ class MappingTable:
 
     @property
     def dirty_bytes(self) -> int:
-        return sum(e.nbytes for e in self._entries.values() if e.dirty)
+        return self._dirty_bytes

@@ -118,6 +118,20 @@ def test_dirty_data_flushed_on_drain():
     assert server.ibridge.stats.writeback_bytes == 4 * KiB
 
 
+def test_ssd_fail_forfeit_leaves_no_dirty_bytes():
+    env, server = make_server()
+    serve(env, server, sub(op=Op.WRITE, random=True))
+    serve(env, server, sub(op=Op.WRITE, offset=64 * KiB, size=8 * KiB,
+                           random=True))
+    mgr = server.ibridge
+    assert mgr.mapping.dirty_bytes == 12 * KiB
+    proc = env.process(mgr.ssd_fail(policy="forfeit"), name="fail")
+    env.run(until=proc)
+    assert mgr.mapping.dirty_bytes == 0
+    assert len(mgr.mapping) == 0
+    assert mgr.stats.forfeited_bytes == 12 * KiB
+
+
 def test_disk_read_sees_latest_ssd_data():
     """Coherence: dirty SSD data must serve reads that overlap it."""
     env, server = make_server()

@@ -131,3 +131,55 @@ def test_determinism_across_runs(ops, seed_salt):
         return env.now, server.hdd.stats.busy_time, server.ssd.stats.busy_time
 
     assert run_once() == run_once()
+
+
+step_strategy = st.one_of(
+    st.tuples(st.just("write"), op_strategy),
+    st.tuples(st.just("flush"), st.none()),
+    st.tuples(st.just("drop"), st.integers(0, 63)),
+    st.tuples(st.just("idle"), st.sampled_from([0.001, 0.01, 0.1])),
+)
+
+
+def recount_dirty(ib):
+    return sum(e.nbytes for e in ib.mapping.entries if e.dirty)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(step_strategy, min_size=1, max_size=40))
+def test_dirty_counter_matches_recount(steps):
+    """The mapping table's O(1) dirty-byte counter equals an O(n)
+    recount after every write, writeback pass, drop and idle period."""
+    env = Environment()
+    cfg = ClusterConfig(num_servers=2, client_jitter=0.0).with_ibridge(
+        ssd_partition=256 * KiB)
+    server = DataServer(env, 0, cfg, get_profile(cfg))
+    server.disk_store.preallocate(1, 4 * MiB)
+    ib = server.ibridge
+
+    for kind, arg in steps:
+        if kind == "write":
+            _is_write, slot, units, flag, rank = arg
+            sub = SubRequest(
+                parent_id=1, op=Op.WRITE, handle=1, server=0,
+                local_offset=slot * 4 * KiB, nbytes=units * 4 * KiB,
+                rank=rank, is_fragment=(flag == "fragment"),
+                is_random=(flag == "random"),
+                sibling_servers=(1,) if flag == "fragment" else (),
+            )
+            env.run(until=server.submit(sub))
+        elif kind == "flush":
+            proc = env.process(ib._flush_some(ib.mapping.dirty_entries()),
+                               name="flush")
+            env.run(until=proc)
+        elif kind == "drop":
+            idle = [e for e in ib.mapping.entries if not e.busy]
+            if idle:
+                ib._drop_entry(idle[arg % len(idle)])
+        else:
+            env.run(until=env.now + arg)
+        assert ib.mapping.dirty_bytes == recount_dirty(ib)
+
+    proc = env.process(server.drain(), name="drain")
+    env.run(until=proc)
+    assert ib.mapping.dirty_bytes == recount_dirty(ib) == 0

@@ -76,6 +76,65 @@ def test_dirty_tracking():
     assert table.dirty_entries() == []
 
 
+def test_dirty_counter_follows_insert_remove_and_mark_clean():
+    table = MappingTable()
+    d1 = entry(dirty=True)
+    d2 = entry(start=20 * KiB, end=24 * KiB, dirty=True)
+    table.insert(d1)
+    table.insert(d2)
+    assert table.dirty_bytes == 14 * KiB
+    table.mark_clean(d1)
+    assert not d1.dirty
+    assert table.dirty_bytes == 4 * KiB
+    table.remove(d2)
+    assert table.dirty_bytes == 0
+
+
+def test_mark_clean_twice_is_a_no_op():
+    table = MappingTable()
+    d = entry(dirty=True)
+    other = entry(start=20 * KiB, end=30 * KiB, dirty=True)
+    table.insert(d)
+    table.insert(other)
+    table.mark_clean(d)
+    table.mark_clean(d)
+    assert table.dirty_bytes == 10 * KiB
+
+
+def test_mark_clean_after_remove_does_not_subtract_again():
+    """A writeback that finishes after its entry was dropped."""
+    table = MappingTable()
+    d = entry(dirty=True)
+    other = entry(start=20 * KiB, end=30 * KiB, dirty=True)
+    table.insert(d)
+    table.insert(other)
+    table.remove(d)
+    assert table.dirty_bytes == 10 * KiB
+    table.mark_clean(d)
+    assert not d.dirty
+    assert table.dirty_bytes == 10 * KiB
+
+
+def test_removing_a_clean_entry_leaves_the_counter():
+    table = MappingTable()
+    d = entry(dirty=True)
+    c = entry(start=20 * KiB, end=30 * KiB, dirty=False)
+    table.insert(d)
+    table.insert(c)
+    table.remove(c)
+    assert table.dirty_bytes == 10 * KiB
+
+
+def test_contains_is_live_membership():
+    table = MappingTable()
+    e = entry()
+    assert e not in table
+    table.insert(e)
+    assert e in table
+    table.remove(e)
+    assert e not in table
+
+
 def test_handles_are_independent():
     table = MappingTable()
     table.insert(entry(handle=1))

@@ -13,24 +13,42 @@ mirror what real workloads do millions of times per experiment:
   common case the run loop fast-paths.
 * ``queue_snapshot`` — the audit/debug heap inspection with ``limit``
   (must not sort the whole heap).
+* ``condition_race`` — ``any_of`` racing an event that never fires
+  against a short timeout (the CFQ-idle and retry-deadline shape).
+
+Every row also records ``gc0_collections``: the cyclic collector's
+generation-0 passes during the best run.  Objects the engine frees by
+reference count never reach the collector, so a reference cycle that
+comes back shows up here before it shows up in ``ops_per_s``.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Callable, Dict
 
 from repro.sim import Environment
 
 
+def _gc0_collections() -> int:
+    return gc.get_stats()[0]["collections"]
+
+
 def _rate(op_count: int, fn: Callable[[], None], repeats: int = 3) -> Dict[str, Any]:
-    """Best-of-``repeats`` wall time for ``fn``; returns ops/sec."""
+    """Best-of-``repeats`` wall time for ``fn``; returns ops/sec and the
+    generation-0 collector passes of the best run."""
     best = float("inf")
+    best_gc0 = 0
     for _ in range(repeats):
+        gc0 = _gc0_collections()
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return {"ops": op_count, "seconds": best, "ops_per_s": op_count / best}
+        elapsed = time.perf_counter() - start
+        if elapsed < best:
+            best, best_gc0 = elapsed, _gc0_collections() - gc0
+    return {"ops": op_count, "seconds": best, "ops_per_s": op_count / best,
+            "gc0_collections": best_gc0}
 
 
 def bench_timeout_trampoline(nprocs: int = 100, iters: int = 2000,
@@ -104,6 +122,24 @@ def bench_queue_snapshot(depth: int = 10_000, limit: int = 10,
     return _rate(calls, run, repeats)
 
 
+def bench_condition_race(nprocs: int = 100, iters: int = 200,
+                         repeats: int = 3) -> Dict[str, Any]:
+    """N processes each racing ``iters`` never-fired events against a
+    short timeout: the timeout always wins and the loser is dropped."""
+    def run() -> None:
+        env = Environment()
+
+        def racer(env: Environment) -> Any:
+            for _ in range(iters):
+                yield env.any_of([env.event(), env.timeout(0.001)])
+
+        for _ in range(nprocs):
+            env.process(racer(env))
+        env.run()
+
+    return _rate(nprocs * iters, run, repeats)
+
+
 def run_all(quick: bool = False) -> Dict[str, Dict[str, Any]]:
     """Run the micro suite; ``quick`` shrinks sizes for CI smoke runs."""
     shrink = 10 if quick else 1
@@ -114,4 +150,6 @@ def run_all(quick: bool = False) -> Dict[str, Dict[str, Any]]:
         "event_chain": bench_event_chain(count=100_000 // shrink),
         "queue_snapshot": bench_queue_snapshot(
             depth=10_000 // shrink, calls=1000 // shrink),
+        "condition_race": bench_condition_race(
+            nprocs=100 // shrink, iters=200 // shrink),
     }

@@ -69,7 +69,8 @@ class BlockQueue:
     def submit(self, op: Op, lbn: int, nbytes: int, stream: int = 0,
                meta: Any = None, obs_parent=None) -> BlockRequest:
         """Queue an I/O; the returned request's ``done`` event fires on
-        completion with the request itself as value.
+        completion (with no value: the request carrying the event would
+        otherwise hold itself in a reference cycle).
 
         ``obs_parent`` (a :class:`repro.obs.span.Span`) requests span
         tracing for this I/O: a queue-wait span opens now, flips to a
@@ -224,7 +225,7 @@ class BlockQueue:
             member.complete_time = env.now
             if member.span is not None and obs is not None:
                 obs.finish(member.span, env.now)
-            member.done.succeed(member)
+            member.done.succeed()
         if self._inflight == 0 and self._drain_waiters:
             waiters, self._drain_waiters = self._drain_waiters, []
             for ev in waiters:

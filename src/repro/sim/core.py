@@ -8,8 +8,10 @@ and for hypothesis-based property tests.
 Hot-path notes (see docs/PERFORMANCE.md): :meth:`Environment.run`
 inlines the dispatch loop (``step()`` remains for single-stepping), the
 :class:`Process` bootstrap builds a bare pre-triggered event without
-the ``Event.__init__`` trampoline, and resumes go through cached bound
-``send``/``throw`` methods.  Every fast path preserves the heap-entry
+the ``Event.__init__`` trampoline, and resumes go through a cached bound
+``send`` and ``_resume`` that the process drops when it finishes, so a
+finished process is freed by reference count rather than left in a
+cycle for the collector.  Every fast path preserves the heap-entry
 layout and seq consumption exactly, so schedules are bit-identical to
 the straightforward implementation — the determinism regression tests
 in ``tests/test_sim_core.py`` pin this.
@@ -75,7 +77,9 @@ class Process(Event):
         # (push-free) starts would reorder schedules.
         # ``self._resume`` builds a fresh bound method on every access;
         # waiting on an event appends it to the event's callback list,
-        # so without this cache every yield allocates one.
+        # so without this cache every yield allocates one.  The cache
+        # points back at this process, so ``_resume`` clears it (with
+        # ``_send`` and ``_generator``) on every terminal path.
         self._resume_cb = resume = self._resume
         init = Event.__new__(Event)
         init.env = env
@@ -124,38 +128,40 @@ class Process(Event):
             else:
                 event._defused = True
                 target = self._generator.throw(event._value)
+            while not isinstance(target, Event):
+                # A non-event yield is thrown back into the generator as
+                # an error; if the generator catches it, whatever it
+                # yields next goes through this same handling.
+                target = self._generator.throw(SimulationError(
+                    f"process {self.name!r} yielded a non-event: {target!r}"))
         except StopIteration as stop:
             env._active_process = None
+            # Terminal: drop the generator and the cached bound methods.
+            # ``_resume_cb`` points back at this process, so keeping it
+            # would leave every finished process in a reference cycle
+            # for the cyclic collector to find.
+            self._resume_cb = self._send = self._generator = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env._active_process = None
+            self._resume_cb = self._send = self._generator = None
             self.fail(exc)
             return
         env._active_process = None
 
-        if isinstance(target, Event):
-            if target.env is not env:
-                self.fail(SimulationError("yielded event belongs to another environment"))
-                return
-            self._target = target
-            callbacks = target.callbacks
-            if callbacks is None:
-                # Already processed: resume again on the spot (matches
-                # Event.add_callback semantics without the call).
-                self._resume(target)
-            else:
-                callbacks.append(self._resume_cb)
+        if target.env is not env:
+            self._resume_cb = self._send = self._generator = None
+            self.fail(SimulationError("yielded event belongs to another environment"))
             return
-
-        exc = SimulationError(
-            f"process {self.name!r} yielded a non-event: {target!r}")
-        try:
-            self._generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-        except BaseException as err:
-            self.fail(err)
+        self._target = target
+        callbacks = target.callbacks
+        if callbacks is None:
+            # Already processed: resume again on the spot (matches
+            # Event.add_callback semantics without the call).
+            self._resume(target)
+        else:
+            callbacks.append(self._resume_cb)
 
 
 class Environment:

@@ -144,7 +144,14 @@ class Timeout(Event):
 
 
 class Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+    """Base for AllOf/AnyOf composite events.
+
+    A triggered condition drops its member list: a member that never
+    fires (the loser of a race) keeps the condition's ``_check`` in its
+    callbacks, and a condition still holding that member would close a
+    reference cycle around them.  Late members only need ``_check``,
+    which does not read the list once the condition has triggered.
+    """
 
     __slots__ = ("events", "_pending_count")
 
@@ -175,6 +182,7 @@ class Condition(Event):
         event._defused = True
         if not self._triggered:
             self.fail(event._value)
+            self.events = ()
 
 
 class AllOf(Condition):
@@ -197,6 +205,7 @@ class AllOf(Condition):
         self._pending_count += 1
         if self._pending_count == len(self.events):
             self.succeed({ev: ev._value for ev in self.events})
+            self.events = ()
 
 
 class AnyOf(Condition):
@@ -215,3 +224,4 @@ class AnyOf(Condition):
             self._on_failure(event)
             return
         self.succeed({event: event._value})
+        self.events = ()

@@ -9,6 +9,8 @@ at some downstream throughput assertion.  Tests that configure auditing
 explicitly (``AuditConfig``/``with_audit``) keep their own settings.
 """
 
+import gc
+
 import pytest
 
 import repro.pfs.cluster as _cluster_mod
@@ -45,3 +47,18 @@ def _no_experiment_audit_override():
     yield
     _exp_common.set_default_audit(None)
     _exp_common.set_default_obs(None)
+
+
+@pytest.fixture
+def collector_off():
+    """Run the test with the cyclic collector disabled, starting from a
+    collected heap, so ``gc.collect()`` afterwards counts exactly the
+    cyclic garbage the test made.  The collector's state is restored."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,5 +1,7 @@
 """Additional edge-case tests for composite events and failure handling."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -151,3 +153,16 @@ def test_any_of_loser_failure_after_win_is_defused():
     env.process(driver(env))
     env.run()  # the late failure must not raise
     assert got == [{winner: "ok"}]
+
+
+def test_any_of_with_unfired_loser_leaves_no_cycle(collector_off):
+    # The CFQ-idle shape: a race whose losing event is dropped without
+    # ever firing.  The loser still holds the condition's callback, so
+    # a triggered condition must not hold the loser.
+    env = Environment()
+    loser = env.event()
+    race = env.any_of([loser, env.timeout(1.0, "deadline")])
+    env.run()
+    assert list(race.value.values()) == ["deadline"]
+    del race, loser
+    assert gc.collect() == 0

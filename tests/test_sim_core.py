@@ -1,9 +1,15 @@
 """Unit tests for the discrete-event engine core."""
 
+import gc
+
 import pytest
 
+from repro.block import BlockQueue, make_scheduler
+from repro.config import SchedulerConfig
+from repro.devices import Op, SolidStateDrive
 from repro.errors import SimulationError
 from repro.sim import Environment, Interrupt
+from repro.units import KiB, MiB
 
 
 def test_clock_starts_at_zero():
@@ -217,6 +223,26 @@ def test_yield_non_event_is_error():
         env.run(until=p)
 
 
+def test_process_catching_non_event_error_keeps_running():
+    env = Environment()
+    active = []
+
+    def forgiving(env):
+        try:
+            yield 42
+        except SimulationError:
+            active.append(env.active_process)
+        yield env.timeout(1)
+        return "ok"
+
+    p = env.process(forgiving(env))
+    env.run()
+    assert active == [p]
+    assert env.now == 1.0
+    assert not p.is_alive
+    assert p.value == "ok"
+
+
 def test_peek_and_step():
     env = Environment()
     env.timeout(2.0)
@@ -331,3 +357,38 @@ def test_seq_numbers_are_consumed_per_scheduling():
     after = env.queue_snapshot()
     assert [s for (_, _, s, _) in after] == [2, 3, 1]  # urgent first at t=0
     env.run()
+
+
+# -- reference cycles ---------------------------------------------------
+# Finished processes and completed block requests must be freed by
+# reference count: anything left for the cyclic collector is paid for
+# once per request on every run (docs/PERFORMANCE.md section 7).
+
+def test_finished_process_leaves_no_cycle(collector_off):
+    env = Environment()
+
+    def quick(env):
+        yield env.timeout(1.0)
+        return "done"
+
+    p = env.process(quick(env))
+    env.run()
+    assert p.value == "done"
+    with pytest.raises(SimulationError):
+        p.interrupt()
+    del p
+    assert gc.collect() == 0
+
+
+def test_block_request_completion_leaves_no_cycle(collector_off):
+    env = Environment()
+    q = BlockQueue(env, SolidStateDrive(),
+                   make_scheduler(SchedulerConfig(kind="noop")))
+    # Far apart, so each is its own dispatch; the runner's frame keeps
+    # the last dispatch (and its request) until the next one.
+    reqs = [q.submit(Op.READ, i * 10 * MiB, 64 * KiB) for i in range(4)]
+    env.run()
+    assert all(r.done.processed for r in reqs)
+    assert q.completed == 4
+    del reqs
+    assert gc.collect() == 0
